@@ -1,0 +1,22 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// fsType names the filesystem holding dir, for the environment header.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown (" + err.Error() + ")"
+	}
+	names := map[int64]string{
+		0xEF53: "ext4", 0x01021994: "tmpfs", 0x794c7630: "overlayfs",
+		0x58465342: "xfs", 0x9123683E: "btrfs", 0x2FC12FC1: "zfs",
+	}
+	if n, ok := names[int64(st.Type)]; ok {
+		return n
+	}
+	return fmt.Sprintf("magic 0x%x", st.Type)
+}
