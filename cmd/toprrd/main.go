@@ -33,16 +33,6 @@
 // out across them, producing identical regions to an unsharded solve.
 // /v1/stats breaks the cache counters down per shard.
 //
-// With -fabric-workers the default dataset becomes a solve-fabric
-// coordinator: the listed worker processes (cmd/toprr-worker) own shard
-// indices and each solve scatters those shards' partial top-k
-// computations to their owners over pipelined connections, gathering
-// the constraint chunks into the same exact merge an in-process solve
-// uses. Results are bit-identical with or without workers — any worker
-// timeout, crash or stale generation just moves that shard's scoring
-// back in-process (see docs/FABRIC.md) — and shutdown drains in-flight
-// fabric requests inside the same -drain window as HTTP requests.
-//
 // With -data-dir the daemon is durable: each dataset owns a
 // <data-dir>/<name>/ directory with its own WAL (fsynced per batch
 // unless -wal-sync none) and snapshot/compaction cycle; a restart
@@ -62,8 +52,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -113,8 +101,6 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 0, "per-configuration memoized-vertex cap (0 = default)")
 		shards       = flag.Int("shards", 0, "solve-plane shards per dataset (0 = GOMAXPROCS-derived; reopened datasets keep their persisted layout)")
 		watchCap     = flag.Int("watch-cap", 0, "standing-query subscriptions allowed per dataset (0 = engine default)")
-		fabricSpec   = flag.String("fabric-workers", "", "route the default dataset's shard partials to worker processes: host:port=shard,shard;host:port=shard (empty = solve in-process)")
-		fabricHedge  = flag.Duration("fabric-hedge", 0, "deadline fraction after which a remote partial is re-dispatched locally (0 = default)")
 	)
 	flag.Parse()
 
@@ -167,17 +153,6 @@ func main() {
 	}
 	if *watchCap > 0 {
 		regOpts = append(regOpts, toprr.WithRegistryWatchCap(*watchCap))
-	}
-	fabricOn := false
-	if *fabricSpec != "" {
-		workers, err := parseFabricWorkers(*fabricSpec)
-		if err != nil {
-			fatal(fmt.Errorf("-fabric-workers: %w", err))
-		}
-		fabricOn = true
-		regOpts = append(regOpts, toprr.WithRegistryRemote(map[string]toprr.RemoteShards{
-			defaultDataset: {Workers: workers, Hedge: *fabricHedge},
-		}))
 	}
 	reg, err := toprr.NewRegistry(regOpts...)
 	if err != nil {
@@ -232,17 +207,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "toprrd: registry root %s holds %d dataset(s); default at generation %d (wal %d bytes in %d segment(s), base snapshot at generation %d)\n",
 			*dataDir, len(reg.List()), engine.Generation(), ps.WALBytes, ps.WALSegments, ps.LastCompaction)
 	}
-	if fabricOn {
-		// Pin the workers to the boot generation eagerly so the first
-		// solves already scatter; failures are not fatal — an unsynced
-		// worker's shards simply solve in-process until the background
-		// resync converges.
-		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if err := engine.SyncRemote(sctx); err != nil {
-			fmt.Fprintf(os.Stderr, "toprrd: fabric sync (continuing; shards solve locally until workers resync): %v\n", err)
-		}
-		scancel()
-	}
 	api := newServer(reg, *reqTimeout, *maxBody)
 	srv := &http.Server{
 		Addr:              *addr,
@@ -252,11 +216,6 @@ func main() {
 	// Watch streams never end on their own; close them out when the
 	// daemon drains so Shutdown doesn't wait the full budget on them.
 	srv.RegisterOnShutdown(api.drainWatches)
-	// Fabric connections drain inside the same shutdown window:
-	// in-flight remote partials finish (or fall back locally), then the
-	// worker connections close with a clean FIN — before reg.Close()
-	// would tear them down mid-request.
-	srv.RegisterOnShutdown(func() { api.drainFabric(*drain) })
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -274,49 +233,6 @@ func main() {
 		fatal(fmt.Errorf("close: %w", err))
 	}
 	fmt.Fprintln(os.Stderr, "toprrd: drained, bye")
-}
-
-// parseFabricWorkers parses the -fabric-workers spec: semicolon-
-// separated worker entries, each "host:port=shard,shard,...". Duplicate
-// shard ownership is rejected here (with addresses named), not left to
-// OpenEngine.
-func parseFabricWorkers(spec string) (map[string][]int, error) {
-	out := make(map[string][]int)
-	owner := make(map[int]string)
-	for _, entry := range strings.Split(spec, ";") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		addr, list, ok := strings.Cut(entry, "=")
-		addr = strings.TrimSpace(addr)
-		if !ok || addr == "" || list == "" {
-			return nil, fmt.Errorf("entry %q, want host:port=shard,shard", entry)
-		}
-		if _, dup := out[addr]; dup {
-			return nil, fmt.Errorf("worker %s listed twice", addr)
-		}
-		var shards []int
-		for _, f := range strings.Split(list, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return nil, fmt.Errorf("entry %q: shard %q: %w", entry, f, err)
-			}
-			if n < 0 || n >= toprr.MaxShards {
-				return nil, fmt.Errorf("entry %q: shard %d out of range [0, %d)", entry, n, toprr.MaxShards)
-			}
-			if prev, dup := owner[n]; dup {
-				return nil, fmt.Errorf("shard %d owned by both %s and %s", n, prev, addr)
-			}
-			owner[n] = addr
-			shards = append(shards, n)
-		}
-		out[addr] = shards
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no worker entries in %q", spec)
-	}
-	return out, nil
 }
 
 // run serves until the listener fails or ctx is cancelled, then shuts

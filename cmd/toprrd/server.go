@@ -45,29 +45,6 @@ func newServer(reg *toprr.Registry, timeout time.Duration, maxBody int64) *serve
 // graceful shutdown doesn't burn the whole drain budget on watchers.
 func (s *server) drainWatches() { close(s.draining) }
 
-// drainFabric quiesces every resident engine's fabric connections
-// within the drain budget: new remote fetches fail fast (their shards
-// answer locally), in-flight requests finish, then the worker
-// connections close with a clean FIN instead of the RST that
-// reg.Close()'s teardown would send mid-request. Registered via
-// RegisterOnShutdown, like drainWatches, so it overlaps the HTTP drain
-// window. Engines without coordinator mode no-op.
-func (s *server) drainFabric(budget time.Duration) {
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	for _, info := range s.reg.List() {
-		if !info.Open {
-			continue
-		}
-		eng, release, err := s.reg.Acquire(info.Name)
-		if err != nil {
-			continue
-		}
-		_ = eng.DrainFabric(ctx)
-		release()
-	}
-}
-
 // datasetsPrefix roots the per-dataset route tree.
 const datasetsPrefix = "/v1/datasets"
 
@@ -709,10 +686,6 @@ type datasetStatsJSON struct {
 	SketchSkips    int             `json:"sketch_certified_skips"`
 	SketchCert     int             `json:"sketch_certified"`
 	SketchFalls    int             `json:"sketch_fallbacks"`
-	FabricPartials int64           `json:"fabric_remote_partials"`
-	FabricHedged   int64           `json:"fabric_hedged_dispatches"`
-	FabricFalls    int64           `json:"fabric_fallbacks"`
-	FabricBytes    int64           `json:"fabric_remote_bytes"`
 	LiveGens       int             `json:"live_generations"`
 	RetainedBytes  int64           `json:"retained_snapshot_bytes"`
 	Shards         int             `json:"shards,omitempty"`
@@ -728,12 +701,11 @@ type datasetStatsJSON struct {
 
 // shardStatJSON is one shard's slice of a dataset's solve-plane caches.
 type shardStatJSON struct {
-	Shard       int   `json:"shard"`
-	TopKEntries int   `json:"topk_entries"`
-	TopKHits    int   `json:"topk_hits"`
-	TopKMisses  int   `json:"topk_misses"`
-	Hyperplanes int   `json:"hyperplanes"`
-	RemoteParts int64 `json:"remote_partials,omitempty"`
+	Shard       int `json:"shard"`
+	TopKEntries int `json:"topk_entries"`
+	TopKHits    int `json:"topk_hits"`
+	TopKMisses  int `json:"topk_misses"`
+	Hyperplanes int `json:"hyperplanes"`
 }
 
 func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
@@ -749,7 +721,6 @@ func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
 			TopKHits:    ss.TopKHits,
 			TopKMisses:  ss.TopKMisses,
 			Hyperplanes: ss.Hyperplanes,
-			RemoteParts: ss.RemotePartials,
 		})
 	}
 	return datasetStatsJSON{
@@ -774,10 +745,6 @@ func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
 		SketchSkips:    ds.Cache.SketchCertifiedSkips,
 		SketchCert:     ds.Cache.SketchCertified,
 		SketchFalls:    ds.Cache.SketchFallbacks,
-		FabricPartials: ds.Cache.RemotePartials,
-		FabricHedged:   ds.Cache.HedgedDispatches,
-		FabricFalls:    ds.Cache.Fallbacks,
-		FabricBytes:    ds.Cache.RemoteBytes,
 		LiveGens:       ds.Cache.LiveGenerations,
 		RetainedBytes:  ds.Cache.RetainedSnapshotBytes,
 		Shards:         ds.Cache.Shards,
@@ -828,10 +795,6 @@ type statsTotals struct {
 	SketchSkips    int   `json:"sketch_certified_skips"`
 	SketchCert     int   `json:"sketch_certified"`
 	SketchFalls    int   `json:"sketch_fallbacks"`
-	FabricPartials int64 `json:"fabric_remote_partials"`
-	FabricHedged   int64 `json:"fabric_hedged_dispatches"`
-	FabricFalls    int64 `json:"fabric_fallbacks"`
-	FabricBytes    int64 `json:"fabric_remote_bytes"`
 	LiveGens       int   `json:"live_generations"`
 	RetainedBytes  int64 `json:"retained_snapshot_bytes"`
 	WALBytes       int64 `json:"wal_bytes"`
@@ -873,10 +836,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		totals.SketchSkips += perDS[i].SketchSkips
 		totals.SketchCert += perDS[i].SketchCert
 		totals.SketchFalls += perDS[i].SketchFalls
-		totals.FabricPartials += perDS[i].FabricPartials
-		totals.FabricHedged += perDS[i].FabricHedged
-		totals.FabricFalls += perDS[i].FabricFalls
-		totals.FabricBytes += perDS[i].FabricBytes
 		totals.LiveGens += perDS[i].LiveGens
 		totals.RetainedBytes += perDS[i].RetainedBytes
 		totals.WALBytes += perDS[i].WALBytes

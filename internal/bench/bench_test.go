@@ -124,8 +124,8 @@ func TestScaleN(t *testing.T) {
 
 func TestFindAndAll(t *testing.T) {
 	all := All()
-	if len(all) != 23 {
-		t.Fatalf("expected 23 experiments, got %d", len(all))
+	if len(all) != 22 {
+		t.Fatalf("expected 22 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {

@@ -64,7 +64,6 @@ func All() []Experiment {
 		{"patch", "Patch-on-insert vs drop-recompute (options scored to re-warm)", Patch},
 		{"watch", "Standing queries: events delivered vs solves avoided", Watch},
 		{"sketch", "Sketch gate and approximate fast path (certified skips, ns/op)", Sketch},
-		{"fabric", "Distributed solve fabric: scatter-gather vs in-process (S=1/2/4/8)", Fabric},
 	}
 }
 

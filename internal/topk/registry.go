@@ -41,10 +41,6 @@ type Registry struct {
 	// invalidates per shard instead of per configuration.
 	shards int
 	assign []uint8
-
-	// remote routes shard partials to owning workers (remote.go);
-	// attached to every sharded cache the registry hands out.
-	remote *RemotePlane
 }
 
 // registryLimit caps the interned configurations and cacheEntryLimit
@@ -92,19 +88,6 @@ func NewShardedRegistry(scorer *Scorer, shards int) *Registry {
 
 // Shards returns the registry's shard count (1 = unsharded).
 func (r *Registry) Shards() int { return r.shards }
-
-// SetRemote attaches a remote partial plane to the registry: every
-// interned sharded cache — present and future, including successors
-// built by generation advances — routes remote-owned shards' partials
-// through it. Attach once, before the registry serves solves.
-func (r *Registry) SetRemote(rp *RemotePlane) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.remote = rp
-	for _, c := range r.m {
-		c.SetRemote(rp)
-	}
-}
 
 // SetLimits overrides the interned-configuration cap and the per-cache
 // memoized-vertex cap (0 keeps the current value). It applies to caches
@@ -176,7 +159,6 @@ func (r *Registry) getLocked(k int, active []int) *Cache {
 			per = 1
 		}
 		c = NewShardedCache(r.scorer, k, active, r.shards, per, r.assign)
-		c.SetRemote(r.remote)
 	} else {
 		c = NewBoundedCache(r.scorer, k, active, r.entryLimit)
 	}
@@ -409,13 +391,6 @@ func (r *Registry) ShardStats() []ShardCacheStats {
 	}
 	for _, c := range r.m {
 		c.addShardStats(out)
-	}
-	if r.remote != nil {
-		for i, n := range r.remote.ShardRemotes() {
-			if i < len(out) {
-				out[i].RemotePartials = n
-			}
-		}
 	}
 	return out
 }

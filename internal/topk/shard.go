@@ -326,21 +326,6 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 		wkeep = w.Clone()
 	}
 
-	// A remote shard among the missing forces the parallel fan-out
-	// below so the scatter's requests overlap on the wire instead of
-	// paying one round trip per shard. Active-set configurations ship
-	// their member slots with each request (shipMembers below).
-	remote := c.remote
-	remoteMissing := false
-	if remote != nil {
-		for _, i := range missing {
-			if remote.Owns(i) {
-				remoteMissing = true
-				break
-			}
-		}
-	}
-
 	compute := func(i int) error {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -351,21 +336,12 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 		sm.mu.Lock()
 		sc, members, limit := sm.scorer, sm.members, sm.limit
 		sm.mu.Unlock()
-		var p *partial
-		if remote != nil && remote.Owns(i) {
-			// Remote-or-local: a sound remote answer is bit-identical to
-			// the local computation; nil (error, refusal, hedge expiry)
-			// falls through to computing the shard here.
-			p = remote.fetch(ctx, sc, members, i, w, c.k, c.active != nil)
-		}
-		if p == nil {
-			p = computePartial(sc, members, w, c.k)
-			if acc != nil {
-				acc.Partials[i].Add(1)
-				acc.Scored[i].Add(int64(len(members)))
-			}
-		}
+		p := computePartial(sc, members, w, c.k)
 		p.w = wkeep
+		if acc != nil {
+			acc.Partials[i].Add(1)
+			acc.Scored[i].Add(int64(len(members)))
+		}
 		sm.mu.Lock()
 		if limit <= 0 || len(sm.m) < limit {
 			sm.m[key] = p
@@ -378,12 +354,9 @@ func (c *Cache) lookupSharded(ctx context.Context, w vec.Vector, acc *ShardAccum
 		return nil
 	}
 
-	if len(missing) > 1 && (missingMembers >= shardParallelThreshold || remoteMissing) {
+	if len(missing) > 1 && missingMembers >= shardParallelThreshold {
 		// Fan the missing shards out; a ctx cancellation makes every
-		// not-yet-started sibling return immediately. Remote-owned
-		// shards always fan out: their cost is a network round trip,
-		// not member scoring, and concurrent dispatch is what lets the
-		// pipelined connection overlap the scatter on the wire.
+		// not-yet-started sibling return immediately.
 		var wg sync.WaitGroup
 		errs := make([]error, len(missing))
 		for t, i := range missing {
@@ -483,7 +456,6 @@ func (c *Cache) cloneAdvance(sc *Scorer, assign []uint8, affected map[int]bool) 
 		scorer: sc,
 		k:      c.k,
 		active: c.active,
-		remote: c.remote, // successors keep routing to the same owners
 		sh: &sharded{
 			memos:       memos,
 			merged:      make(map[uint64]*Result),
@@ -506,11 +478,6 @@ type ShardCacheStats struct {
 	TopKMisses  int
 	TopKEvicted int
 	Hyperplanes int
-	// RemotePartials counts this shard's partials served by its remote
-	// owner (cumulative across the registry's remote plane; zero
-	// without one). Filled by Registry.ShardStats, not addShardStats —
-	// the counter lives on the shared plane, not on any one cache.
-	RemotePartials int64
 }
 
 // addShardStats folds one sharded cache's per-shard counters into out

@@ -315,19 +315,7 @@ type Cache struct {
 	misses    int
 	evictions int      // results not memoized because the cache was full
 	sh        *sharded // non-nil: sharded evaluation plane (shard.go)
-
-	// remote routes shard partials to their owning workers (remote.go).
-	// Only consulted in sharded mode for whole-dataset configurations;
-	// the registry attaches it and successors carry it forward.
-	remote *RemotePlane
 }
-
-// SetRemote attaches a remote partial plane: lookups of whole-dataset
-// configurations route remote-owned shards' partials to their owners,
-// falling back to the local computation on any failure. Attach before
-// the cache starts serving; the plane itself is safe for concurrent
-// use.
-func (c *Cache) SetRemote(rp *RemotePlane) { c.remote = rp }
 
 // memoEntry pairs a memoized result with the vertex it was computed at.
 // The vertex is retained only for whole-dataset (nil active set)

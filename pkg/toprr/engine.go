@@ -43,13 +43,6 @@ type Engine struct {
 	hyperplanes  *core.HyperplaneCache
 	caches       *topk.Registry
 
-	// Coordinator mode (fabric.go): the worker routing table and the
-	// hedging remote plane threaded into the sharded caches. Both nil
-	// without WithRemoteShards.
-	remoteCfg   *RemoteShards
-	fabric      *fabricRouter
-	remotePlane *topk.RemotePlane
-
 	// Sketch tier (approx.go): per-shard filtered-space-saving sketches
 	// maintained on the mutation stream; gates the exact prefilter and
 	// serves the approximate fast path. The counters feed CacheStats.
@@ -232,18 +225,6 @@ func OpenEngine(pts []vec.Vector, opts ...EngineOption) (*Engine, error) {
 	// rather than persisting them.
 	e.sketches = sketch.NewPlane(snap.Scorer, e.shards, 0)
 	e.caches.SetLimits(e.maxConfigs, e.maxEntries)
-	if e.remoteCfg != nil && len(e.remoteCfg.Workers) > 0 {
-		// After the persisted shard layout is known — the assignment
-		// validates against the count that actually applies.
-		fr, ferr := newFabricRouter(e, *e.remoteCfg)
-		if ferr != nil {
-			st.Close()
-			return nil, ferr
-		}
-		e.fabric = fr
-		e.remotePlane = topk.NewRemotePlane(fr, e.remoteCfg.Hedge, e.shards)
-		e.caches.SetRemote(e.remotePlane)
-	}
 	e.advanceCond = sync.NewCond(&e.advanceMu)
 	e.advanced = snap.Gen
 	e.watch = newWatchHub(e)
@@ -295,13 +276,6 @@ func (e *Engine) Close() error {
 	// channels (SSE handlers and other consumers drain out) before the
 	// store refuses writes.
 	e.watch.stop()
-	if e.fabric != nil {
-		// Close, not drain: callers that want in-flight remote fetches to
-		// finish call DrainFabric first (cmd/toprrd does, through its
-		// shutdown hook). Abandoned fetches fall back locally, so a hard
-		// close never costs an answer.
-		e.fabric.close()
-	}
 	return e.store.Close()
 }
 
@@ -384,15 +358,6 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (Generation, error) {
 		e.advanced = delta.To
 		e.advanceCond.Broadcast()
 		e.advanceMu.Unlock()
-		if e.fabric != nil {
-			// Follow the mutation stream: push the new generation to each
-			// worker in the background, so the next solves route remotely
-			// instead of discovering staleness one refusal at a time. The
-			// per-worker busy flag bounds this to one in-flight push.
-			for _, fw := range e.fabric.workers {
-				e.fabric.resync(fw, false)
-			}
-		}
 	}
 	return snap.Gen, nil
 }
@@ -625,18 +590,7 @@ type CacheStats struct {
 	SketchCertifiedSkips int
 	SketchCertified      int
 	SketchFallbacks      int
-
-	// Fabric counters (cumulative, zero without coordinator mode):
-	// partials served by remote workers, remote fetches abandoned to a
-	// hedged local dispatch, remote attempts answered locally after an
-	// error or refusal, and the bytes moved on the wire in both
-	// directions (framing included).
-	RemotePartials   int64
-	HedgedDispatches int64
-	Fallbacks        int64
-	RemoteBytes      int64
-
-	Shards int // the engine's shard count (1 = unsharded)
+	Shards               int // the engine's shard count (1 = unsharded)
 	// ShardStats breaks the shared caches down per shard — memoized
 	// partials, hit/miss totals, and the hyperplane stripe occupancy —
 	// on sharded engines (nil otherwise).
@@ -675,13 +629,6 @@ func (e *Engine) CacheStats() CacheStats {
 	cs.SketchCertifiedSkips = sk.CertifiedSkips
 	cs.SketchCertified = int(e.sketchCertified.Load())
 	cs.SketchFallbacks = int(e.sketchFallbacks.Load())
-	if e.remotePlane != nil {
-		fs := e.FabricStats()
-		cs.RemotePartials = fs.RemotePartials
-		cs.HedgedDispatches = fs.HedgedDispatches
-		cs.Fallbacks = fs.Fallbacks
-		cs.RemoteBytes = fs.BytesOut + fs.BytesIn
-	}
 	if cs.ShardStats != nil {
 		for i, n := range e.hyperplanes.StripeLens() {
 			if i < len(cs.ShardStats) {

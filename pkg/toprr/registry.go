@@ -49,7 +49,6 @@ type Registry struct {
 	budgetEntries int           // per-configuration memoized-vertex cap (0 = per-engine default)
 	shards        int           // default shard count for new datasets (0 = engine auto)
 	watchCap      int           // per-tenant standing-subscription cap (0 = engine default)
-	remote        map[string]RemoteShards
 	persist       store.PersistConfig
 
 	mu      sync.Mutex
@@ -118,25 +117,6 @@ func WithRegistryWatchCap(n int) RegistryOption {
 // snapshots record regardless.
 func WithRegistryShards(n int) RegistryOption {
 	return func(r *Registry) { r.shards = n }
-}
-
-// WithRegistryRemote puts named tenants in coordinator mode (see
-// WithRemoteShards): cfgs maps a dataset name to its worker fleet, and
-// that tenant's engine — whenever it opens, including an idle-evicted
-// reopen — routes the configured shards' partial solves to those
-// workers. The handshake pins the tenant's own name as the dataset, so
-// one worker process can serve many tenants. Datasets without an entry
-// solve entirely in-process.
-func WithRegistryRemote(cfgs map[string]RemoteShards) RegistryOption {
-	return func(r *Registry) {
-		if len(cfgs) == 0 {
-			return
-		}
-		r.remote = make(map[string]RemoteShards, len(cfgs))
-		for name, cfg := range cfgs {
-			r.remote[name] = cfg
-		}
-	}
 }
 
 // WithCacheBudget sets the process-wide cache budget: totalConfigs
@@ -224,12 +204,6 @@ func (r *Registry) openEngineFor(name string, boot []vec.Vector, shards int) (*E
 	opts := []EngineOption{WithShards(shards)}
 	if r.watchCap > 0 {
 		opts = append(opts, WithWatchCap(r.watchCap))
-	}
-	if cfg, ok := r.remote[name]; ok {
-		if cfg.Dataset == "" {
-			cfg.Dataset = name
-		}
-		opts = append(opts, WithRemoteShards(cfg))
 	}
 	if r.root != "" {
 		opts = append(opts, WithPersistenceConfig(r.persistFor(name)))

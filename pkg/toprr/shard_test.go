@@ -32,7 +32,7 @@ func sameRegion(t *testing.T, tag string, rng *rand.Rand, d int, a, b *toprr.Res
 }
 
 // TestShardedEngineMatchesOracle is the sharded-solve property suite:
-// for S in {1, 2, 3, 8}, random datasets, dimensionalities and k, a
+// for S in {1, 2, 3, 4, 8}, random datasets, dimensionalities and k, a
 // sharded engine must produce exactly the unsharded engine's regions —
 // including after mutation batches, where the per-shard invalidation
 // path has to keep the warm caches consistent with the new generation.
@@ -46,7 +46,7 @@ func TestShardedEngineMatchesOracle(t *testing.T) {
 		oracle := toprr.NewEngine(pts, toprr.WithShards(1))
 
 		engines := make(map[int]*toprr.Engine)
-		for _, s := range []int{2, 3, 8} {
+		for _, s := range []int{2, 3, 4, 8} {
 			engines[s] = toprr.NewEngine(pts, toprr.WithShards(s))
 			if engines[s].Shards() != s {
 				t.Fatalf("WithShards(%d) built %d shards", s, engines[s].Shards())

@@ -93,9 +93,10 @@ func TestWatchNotificationOracle(t *testing.T) {
 			var ws []*watcher
 			for i := 0; i < 3; i++ {
 				q := wideQuery(rng, d, 1+i)
+				q.Options = oracleOptions() // the oracle re-solves q with the watcher's options
 				sub, err := eng.Watch(q.K, q.WR, toprr.WatchOptions{
 					Debounce: -1, // evaluate on the next hub cycle: the oracle checks per batch
-					Options:  oracleOptions(),
+					Options:  q.Options,
 				})
 				if err != nil {
 					t.Fatal(err)
