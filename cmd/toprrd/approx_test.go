@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// TestApproxSolveEndpoint: /v1/solve?approx=1 answers with per-vertex
+// TestApproxSolveEndpoint: .../solve?approx=1 answers with per-vertex
 // TopK(w) intervals from the sketch tier instead of the exact region,
 // and the vertex count matches the query box's geometry.
 func TestApproxSolveEndpoint(t *testing.T) {
 	ts, _ := testServer(t, 80, time.Minute)
 
-	resp := postJSON(t, ts.URL+"/v1/solve?approx=1", queryJSON{K: 3, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/solve?approx=1", queryJSON{K: 3, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -44,7 +44,7 @@ func TestApproxSolveEndpoint(t *testing.T) {
 	}
 
 	// Invalid queries fail the same validation as the exact route.
-	resp = postJSON(t, ts.URL+"/v1/solve?approx=1", queryJSON{K: 0, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
+	resp = postJSON(t, ts.URL+"/v1/datasets/default/solve?approx=1", queryJSON{K: 0, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("k=0 status = %d, want 400", resp.StatusCode)
@@ -57,7 +57,7 @@ func TestStatsExposeSketchCounters(t *testing.T) {
 	ts, _ := testServer(t, 80, time.Minute)
 
 	// Drive the approximate path once so the counters move.
-	resp := postJSON(t, ts.URL+"/v1/solve?approx=1", queryJSON{K: 3, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/solve?approx=1", queryJSON{K: 3, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
 	resp.Body.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/stats")

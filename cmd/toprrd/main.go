@@ -21,11 +21,11 @@
 //	GET    /v1/datasets/{name}/stats      one dataset's stats
 //	GET    /v1/stats                      per-dataset breakdowns + totals + work counters
 //
-// The pre-tenancy routes /v1/{solve,batch,ops} still work: they alias
-// the "default" dataset, which the daemon creates at boot from
-// -data/-dist when it does not already exist. Every query pins the
-// dataset generation current at arrival; mutations publish new
-// generations without disturbing in-flight solves.
+// At boot the daemon creates the "default" dataset from -data/-dist
+// when it does not already exist; it is served at
+// /v1/datasets/default/… like any other. Every query pins the dataset
+// generation current at arrival; mutations publish new generations
+// without disturbing in-flight solves.
 //
 // Each dataset solves on a sharded plane (-shards, or a per-dataset
 // "shards" field on create; default GOMAXPROCS-derived): the option set
@@ -37,9 +37,9 @@
 // <data-dir>/<name>/ directory with its own WAL (fsynced per batch
 // unless -wal-sync none) and snapshot/compaction cycle; a restart
 // discovers every dataset and recovers each — lazily, on its first
-// request — at the generation it crashed at. A pre-tenancy -data-dir
-// (files directly under the root) is migrated into
-// <data-dir>/default/ automatically. With -idle-ttl the daemon evicts
+// request — at the generation it crashed at. A -data-dir holding
+// snapshot or WAL files directly under the root is refused at boot:
+// move them into <data-dir>/default/. With -idle-ttl the daemon evicts
 // datasets idle past the TTL and pages them back in from disk on
 // demand. docs/PERSISTENCE.md specifies the recovery contract.
 package main
@@ -123,15 +123,6 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("-wal-sync: %w", err))
 		}
-		// A pre-tenancy data directory (WAL and snapshots directly under
-		// the root) becomes the default dataset of the registry layout.
-		migrated, err := toprr.MigrateLegacyLayout(*dataDir, defaultDataset)
-		if err != nil {
-			fatal(err)
-		}
-		if migrated {
-			fmt.Fprintf(os.Stderr, "toprrd: migrated legacy single-dataset layout into %s/%s\n", *dataDir, defaultDataset)
-		}
 		regOpts = append(regOpts, toprr.WithRegistryPersistence(toprr.PersistConfig{
 			Dir:          *dataDir,
 			Sync:         mode,
@@ -195,9 +186,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	// Open the default eagerly: it is the one tenant guaranteed to take
-	// traffic (the legacy routes), and boot is where a recovery error
-	// should surface, not a request.
+	// Open the default eagerly: it is the one tenant guaranteed to
+	// exist, and boot is where a recovery error should surface, not a
+	// request.
 	engine, err := reg.Get(defaultDataset)
 	if err != nil {
 		fatal(err)

@@ -10,7 +10,8 @@ import (
 	"toprr/pkg/toprr"
 )
 
-// statsJSON mirrors the /v1/stats fields this suite asserts on.
+// statsJSON mirrors the default dataset's stats fields this suite
+// asserts on.
 type statsJSON struct {
 	Generation     uint64 `json:"generation"`
 	Options        int    `json:"options"`
@@ -24,7 +25,7 @@ type statsJSON struct {
 
 func getStats(t *testing.T, url string) statsJSON {
 	t.Helper()
-	resp, err := http.Get(url + "/v1/stats")
+	resp, err := http.Get(url + "/v1/datasets/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,16 +51,15 @@ func durableServer(t *testing.T, root string, pts []vec.Vector, cfg toprr.Persis
 	return httptest.NewServer(newServer(reg, time.Minute, 32<<20)), reg
 }
 
-// TestDaemonRestartServesSameState is the legacy-route acceptance
+// TestDaemonRestartServesSameState is the default-dataset acceptance
 // scenario: a durable daemon takes mutations over HTTP on the default
 // dataset, shuts down, and a restarted daemon over the same registry
-// root serves the same generation contents through the same pre-tenancy
-// routes.
+// root serves the same generation contents through the same routes.
 func TestDaemonRestartServesSameState(t *testing.T) {
 	root := t.TempDir()
 	ts, reg := durableServer(t, root, testPts(40), toprr.PersistConfig{})
 
-	resp := postJSON(t, ts.URL+"/v1/ops", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/ops", map[string]any{
 		"ops": []opJSON{
 			{Op: "insert", Point: []float64{0.9, 0.9, 0.9}},
 			{Op: "update", Index: 3, Point: []float64{0.95, 0.1, 0.5}},
@@ -116,7 +116,7 @@ func TestDaemonRestartServesSameState(t *testing.T) {
 }
 
 // TestStatsReportCompaction: once mutations cross the compaction
-// threshold, /v1/stats shows the truncated WAL and the advanced base
+// threshold, the dataset's stats show the truncated WAL and the advanced base
 // snapshot watermark.
 func TestStatsReportCompaction(t *testing.T) {
 	ts, reg := durableServer(t, t.TempDir(),
@@ -126,7 +126,7 @@ func TestStatsReportCompaction(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 6; i++ {
-		resp := postJSON(t, ts.URL+"/v1/ops", map[string]any{
+		resp := postJSON(t, ts.URL+"/v1/datasets/default/ops", map[string]any{
 			"ops": []opJSON{{Op: "insert", Point: []float64{0.5, 0.5, 0.5}}},
 		})
 		if resp.StatusCode != http.StatusOK {

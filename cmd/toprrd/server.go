@@ -21,8 +21,7 @@ import (
 // route acquires its tenant for the duration of the request — pinning
 // it against idle eviction — and every query pins the dataset
 // generation current when it arrives, so a request is never torn across
-// an Apply landing mid-solve. The pre-tenancy /v1/{solve,batch,ops}
-// routes alias the "default" dataset, so existing clients keep working.
+// an Apply landing mid-solve.
 type server struct {
 	reg      *toprr.Registry
 	timeout  time.Duration // per-request deadline (0 = none; watch streams are exempt)
@@ -31,7 +30,8 @@ type server struct {
 	draining chan struct{} // closed on shutdown: watch streams say bye and end
 }
 
-// defaultDataset is the tenant behind the legacy single-dataset routes.
+// defaultDataset is the tenant the daemon creates at boot from
+// -data/-dist.
 const defaultDataset = "default"
 
 // newServer wires the /v1 API over a registry.
@@ -56,12 +56,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case path == "/v1/healthz":
 		s.handleHealthz(w, r)
-	case path == "/v1/solve":
-		s.withDataset(w, r, defaultDataset, s.handleSolve)
-	case path == "/v1/batch":
-		s.withDataset(w, r, defaultDataset, s.handleBatch)
-	case path == "/v1/ops":
-		s.withDataset(w, r, defaultDataset, s.handleOps)
 	case path == "/v1/stats":
 		s.handleStats(w, r)
 	case path == datasetsPrefix:
@@ -220,7 +214,10 @@ func prefBox(lo, hi []float64) (p *geom.Polytope, err error) {
 	return toprr.PrefBox(vec.Vector(lo), vec.Vector(hi)), nil
 }
 
-// buildQuery validates a wire query against a pinned snapshot.
+// buildQuery validates a wire query against a pinned snapshot. A
+// request's worker count is clamped to GOMAXPROCS, as the engine's
+// default is: each worker is a goroutine per solve, and more of them
+// than CPUs buys nothing.
 func buildQuery(snap toprr.Snapshot, qj queryJSON) (toprr.Query, error) {
 	m := snap.Scorer.PrefDim()
 	if len(qj.Lo) != m || len(qj.Hi) != m {
@@ -228,6 +225,9 @@ func buildQuery(snap toprr.Snapshot, qj queryJSON) (toprr.Query, error) {
 	}
 	if qj.K <= 0 || qj.K > snap.Scorer.Len() {
 		return toprr.Query{}, fmt.Errorf("k=%d out of range for %d options", qj.K, snap.Scorer.Len())
+	}
+	if qj.Workers < 0 {
+		return toprr.Query{}, fmt.Errorf("workers=%d must be >= 0", qj.Workers)
 	}
 	wr, err := prefBox(qj.Lo, qj.Hi)
 	if err != nil {
@@ -239,7 +239,7 @@ func buildQuery(snap toprr.Snapshot, qj queryJSON) (toprr.Query, error) {
 		if err != nil {
 			return toprr.Query{}, err
 		}
-		q.Options = &toprr.Options{Alg: alg, Workers: qj.Workers}
+		q.Options = &toprr.Options{Alg: alg, Workers: min(qj.Workers, runtime.GOMAXPROCS(0))}
 	}
 	return q, nil
 }
@@ -802,10 +802,7 @@ type statsTotals struct {
 }
 
 // handleStats answers GET /v1/stats: per-dataset breakdowns, totals
-// across tenants, and process-wide work counters. For compatibility
-// with pre-tenancy clients, the "default" dataset's fields (when it is
-// resident) are mirrored at the top level, exactly as the
-// single-dataset daemon reported them.
+// across tenants, and process-wide work counters.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
@@ -814,7 +811,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	all := s.reg.Stats()
 	perDS := make([]datasetStatsJSON, len(all))
 	var totals statsTotals
-	var legacy datasetStatsJSON
 	totals.Datasets = len(all)
 	for i, ds := range all {
 		perDS[i] = datasetStatsToJSON(ds)
@@ -840,29 +836,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		totals.RetainedBytes += perDS[i].RetainedBytes
 		totals.WALBytes += perDS[i].WALBytes
 		totals.WALSegments += perDS[i].WALSegments
-		if ds.Name == defaultDataset {
-			legacy = perDS[i]
-		}
 	}
 	ctr := toprr.ReadCounters()
 	writeJSON(w, http.StatusOK, struct {
-		// Legacy top-level mirror of the default dataset.
-		Generation     uint64  `json:"generation"`
-		Options        int     `json:"options"`
-		Dim            int     `json:"dim"`
-		UptimeMS       float64 `json:"uptime_ms"`
-		Hyperplanes    int     `json:"cache_hyperplanes"`
-		TopKConfigs    int     `json:"cache_topk_configs"`
-		TopKHits       int     `json:"cache_topk_hits"`
-		TopKMisses     int     `json:"cache_topk_misses"`
-		Evictions      int     `json:"cache_evictions"`
-		LiveGens       int     `json:"live_generations"`
-		RetainedBytes  int64   `json:"retained_snapshot_bytes"`
-		Persistent     bool    `json:"persistent"`
-		WALBytes       int64   `json:"wal_bytes"`
-		WALSegments    int     `json:"wal_segments"`
-		LastCompaction uint64  `json:"last_compaction_generation"`
-		CompactError   string  `json:"wal_compact_error,omitempty"`
+		UptimeMS float64 `json:"uptime_ms"`
 		// Tenancy view.
 		Datasets []datasetStatsJSON `json:"datasets"`
 		Totals   statsTotals        `json:"totals"`
@@ -871,26 +848,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LPSolves int64 `json:"lp_solves"`
 		QPSolves int64 `json:"qp_solves"`
 	}{
-		Generation:     legacy.Generation,
-		Options:        legacy.Options,
-		Dim:            legacy.Dim,
-		UptimeMS:       float64(time.Since(s.start)) / float64(time.Millisecond),
-		Hyperplanes:    legacy.Hyperplanes,
-		TopKConfigs:    legacy.TopKConfigs,
-		TopKHits:       legacy.TopKHits,
-		TopKMisses:     legacy.TopKMisses,
-		Evictions:      legacy.Evictions,
-		LiveGens:       legacy.LiveGens,
-		RetainedBytes:  legacy.RetainedBytes,
-		Persistent:     legacy.Persistent,
-		WALBytes:       legacy.WALBytes,
-		WALSegments:    legacy.WALSegments,
-		LastCompaction: legacy.LastCompaction,
-		CompactError:   legacy.CompactError,
-		Datasets:       perDS,
-		Totals:         totals,
-		Regions:        ctr.RegionsProcessed,
-		LPSolves:       ctr.LPSolves,
-		QPSolves:       ctr.QPSolves,
+		UptimeMS: float64(time.Since(s.start)) / float64(time.Millisecond),
+		Datasets: perDS,
+		Totals:   totals,
+		Regions:  ctr.RegionsProcessed,
+		LPSolves: ctr.LPSolves,
+		QPSolves: ctr.QPSolves,
 	})
 }

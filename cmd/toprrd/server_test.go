@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -28,8 +29,8 @@ func testPts(n int) []vec.Vector {
 }
 
 // testRegistry builds a memory-only registry whose default dataset
-// holds n random options, so the legacy /v1/* aliases have a tenant to
-// hit. Cleanup closes it.
+// holds n random options, served at /v1/datasets/default/…. Cleanup
+// closes it.
 func testRegistry(t *testing.T, n int) (*toprr.Registry, *toprr.Engine) {
 	t.Helper()
 	reg, err := toprr.NewRegistry()
@@ -74,12 +75,12 @@ func decodeJSON(t *testing.T, resp *http.Response, v any) {
 	}
 }
 
-// TestSolveEndpoint: /v1/solve answers one query with the exact
+// TestSolveEndpoint: .../solve answers one query with the exact
 // H-representation of oR and names the generation it ran against.
 func TestSolveEndpoint(t *testing.T) {
 	ts, _ := testServer(t, 80, time.Minute)
 
-	resp := postJSON(t, ts.URL+"/v1/solve", queryJSON{K: 3, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/solve", queryJSON{K: 3, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -99,12 +100,12 @@ func TestSolveEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint: /v1/batch answers every query against one pinned
+// TestBatchEndpoint: .../batch answers every query against one pinned
 // generation.
 func TestBatchEndpoint(t *testing.T) {
 	ts, _ := testServer(t, 80, time.Minute)
 
-	resp := postJSON(t, ts.URL+"/v1/batch", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/batch", map[string]any{
 		"queries": []queryJSON{
 			{K: 2, Lo: []float64{0.2, 0.2}, Hi: []float64{0.25, 0.25}},
 			{K: 3, Lo: []float64{0.3, 0.3}, Hi: []float64{0.35, 0.35}},
@@ -134,7 +135,7 @@ func TestOpsRoundtrip(t *testing.T) {
 	ts, engine := testServer(t, 60, time.Minute)
 
 	// Insert, then upgrade the inserted option, then withdraw option 0.
-	resp := postJSON(t, ts.URL+"/v1/ops", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/ops", map[string]any{
 		"ops": []opJSON{
 			{Op: "insert", Point: []float64{0.9, 0.9, 0.9}},
 			{Op: "update", Index: 60, Point: []float64{0.95, 0.95, 0.95}},
@@ -157,7 +158,7 @@ func TestOpsRoundtrip(t *testing.T) {
 	}
 
 	// The log reports all three ops, with delete's swap recorded.
-	resp, err := http.Get(ts.URL + "/v1/ops?since=0")
+	resp, err := http.Get(ts.URL + "/v1/datasets/default/ops?since=0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestOpsRoundtrip(t *testing.T) {
 	}
 
 	// Solves now run against generation 2.
-	resp = postJSON(t, ts.URL+"/v1/solve", queryJSON{K: 2, Lo: []float64{0.2, 0.2}, Hi: []float64{0.25, 0.25}})
+	resp = postJSON(t, ts.URL+"/v1/datasets/default/solve", queryJSON{K: 2, Lo: []float64{0.2, 0.2}, Hi: []float64{0.25, 0.25}})
 	var out struct {
 		Generation uint64     `json:"generation"`
 		Result     resultJSON `json:"result"`
@@ -188,7 +189,7 @@ func TestOpsRoundtrip(t *testing.T) {
 	}
 
 	// Stats reflect the new generation.
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	resp, err = http.Get(ts.URL + "/v1/datasets/default/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestOpsRejectsBadBatches(t *testing.T) {
 		{"ops": []opJSON{{Op: "insert", Point: []float64{0.5, 0.5, 0.5}}, {Op: "delete", Index: 99}}},
 	}
 	for i, body := range cases {
-		resp := postJSON(t, ts.URL+"/v1/ops", body)
+		resp := postJSON(t, ts.URL+"/v1/datasets/default/ops", body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status = %d, want 400", i, resp.StatusCode)
@@ -230,7 +231,7 @@ func TestOpsRejectsBadBatches(t *testing.T) {
 func TestRequestDeadline(t *testing.T) {
 	ts, _ := testServer(t, 400, time.Nanosecond)
 
-	resp := postJSON(t, ts.URL+"/v1/solve", queryJSON{K: 5, Lo: []float64{0.1, 0.1}, Hi: []float64{0.5, 0.5}})
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/solve", queryJSON{K: 5, Lo: []float64{0.1, 0.1}, Hi: []float64{0.5, 0.5}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", resp.StatusCode)
@@ -241,16 +242,16 @@ func TestRequestDeadline(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	ts, _ := testServer(t, 30, time.Minute)
 
-	resp, err := http.Get(ts.URL + "/v1/solve")
+	resp, err := http.Get(ts.URL + "/v1/datasets/default/solve")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/solve status = %d, want 405", resp.StatusCode)
+		t.Errorf("GET .../solve status = %d, want 405", resp.StatusCode)
 	}
 
-	resp, err = http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err = http.Post(ts.URL+"/v1/datasets/default/solve", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,16 +260,36 @@ func TestBadRequests(t *testing.T) {
 		t.Errorf("malformed body status = %d, want 400", resp.StatusCode)
 	}
 
-	resp = postJSON(t, ts.URL+"/v1/solve", queryJSON{K: 0, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
+	resp = postJSON(t, ts.URL+"/v1/datasets/default/solve", queryJSON{K: 0, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("k=0 status = %d, want 400", resp.StatusCode)
 	}
 
-	resp = postJSON(t, ts.URL+"/v1/solve", queryJSON{K: 2, Lo: []float64{0.2}, Hi: []float64{0.3, 0.3}})
+	resp = postJSON(t, ts.URL+"/v1/datasets/default/solve", queryJSON{K: 2, Lo: []float64{0.2}, Hi: []float64{0.3, 0.3}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("mismatched box status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestBuildQueryBoundsWorkers: a request's worker count is clamped to
+// GOMAXPROCS, since each worker is a goroutine per solve, and a negative
+// count is rejected.
+func TestBuildQueryBoundsWorkers(t *testing.T) {
+	_, engine := testRegistry(t, 20)
+	snap := engine.Snapshot()
+	qj := queryJSON{K: 2, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}, Workers: 1 << 30}
+	q, err := buildQuery(snap, qj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if procs := runtime.GOMAXPROCS(0); q.Options == nil || q.Options.Workers > procs {
+		t.Fatalf("workers=1<<30 built options %+v, want Workers <= GOMAXPROCS=%d", q.Options, procs)
+	}
+	qj.Workers = -1
+	if _, err := buildQuery(snap, qj); err == nil {
+		t.Fatal("workers=-1 accepted")
 	}
 }
 
@@ -309,8 +330,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 // TestStatsExposePatchCounters: a pure-insert ops batch routes through
 // the engine's patch plane, and the cumulative patch counters surface
-// per dataset and in the totals of /v1/stats (the legacy top-level
-// mirror stays pre-tenancy and does not carry them).
+// per dataset and in the totals of /v1/stats.
 func TestStatsExposePatchCounters(t *testing.T) {
 	ts, engine := testServer(t, 50, time.Minute)
 
@@ -319,14 +339,14 @@ func TestStatsExposePatchCounters(t *testing.T) {
 	if _, err := engine.Rank(vec.Of(0.3, 0.25), 5); err != nil {
 		t.Fatal(err)
 	}
-	resp := postJSON(t, ts.URL+"/v1/ops", map[string]any{
+	resp := postJSON(t, ts.URL+"/v1/datasets/default/ops", map[string]any{
 		"ops": []opJSON{{Op: "insert", Point: []float64{0.99, 0.98, 0.97}}},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/ops", map[string]any{
+	resp = postJSON(t, ts.URL+"/v1/datasets/default/ops", map[string]any{
 		"ops": []opJSON{{Op: "delete", Index: 0}},
 	})
 	if resp.StatusCode != http.StatusOK {

@@ -75,8 +75,8 @@ func listNames(t *testing.T, base string) []string {
 
 // TestTenancyEndToEnd is the acceptance scenario: one daemon serves
 // several named datasets with isolated mutations and per-dataset
-// persistence directories that survive a restart, while the legacy
-// /v1/* routes keep working against the default dataset.
+// persistence directories that survive a restart, the boot-time
+// default dataset among them.
 func TestTenancyEndToEnd(t *testing.T) {
 	root := t.TempDir()
 	ts, reg := durableServer(t, root, testPts(40), toprr.PersistConfig{})
@@ -124,10 +124,10 @@ func TestTenancyEndToEnd(t *testing.T) {
 	if g := solveGen(t, ts.URL, "/v1/datasets/beta/solve"); g != 1 {
 		t.Fatalf("beta solve generation = %d, want 1 (mutation leaked across tenants)", g)
 	}
-	// The legacy route answers for the default dataset, untouched at
-	// generation 1 with its own option count.
-	if g := solveGen(t, ts.URL, "/v1/solve"); g != 1 {
-		t.Fatalf("legacy solve generation = %d, want 1", g)
+	// The default dataset answers untouched at generation 1 with its
+	// own option count.
+	if g := solveGen(t, ts.URL, "/v1/datasets/default/solve"); g != 1 {
+		t.Fatalf("default solve generation = %d, want 1", g)
 	}
 
 	// Each tenant owns a persistence directory under the root.
@@ -143,20 +143,18 @@ func TestTenancyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Generation uint64             `json:"generation"` // legacy mirror of default
-		Options    int                `json:"options"`
-		Datasets   []datasetStatsJSON `json:"datasets"`
-		Totals     statsTotals        `json:"totals"`
+		Datasets []datasetStatsJSON `json:"datasets"`
+		Totals   statsTotals        `json:"totals"`
 	}
 	decodeJSON(t, resp, &stats)
 	if stats.Totals.Datasets != 3 || stats.Totals.OpenDatasets != 3 {
 		t.Fatalf("totals = %+v", stats.Totals)
 	}
-	if stats.Generation != 1 || stats.Options != 40 {
-		t.Fatalf("legacy mirror = gen %d, %d options; want 1, 40", stats.Generation, stats.Options)
-	}
 	if len(stats.Datasets) != 3 || stats.Datasets[0].Name != "alpha" || stats.Datasets[0].Generation != 2 {
 		t.Fatalf("per-dataset stats = %+v", stats.Datasets)
+	}
+	if def := stats.Datasets[2]; def.Name != "default" || def.Generation != 1 || def.Options != 40 {
+		t.Fatalf("default stats = %s gen %d, %d options; want default, 1, 40", def.Name, def.Generation, def.Options)
 	}
 	if want := 5 + 1 + 30 + 40; stats.Totals.Options != want {
 		t.Fatalf("totals.Options = %d, want %d", stats.Totals.Options, want)
@@ -192,8 +190,8 @@ func TestTenancyEndToEnd(t *testing.T) {
 	if g := solveGen(t, ts2.URL, "/v1/datasets/beta/solve"); g != 1 {
 		t.Fatalf("beta generation after restart = %d, want 1", g)
 	}
-	if g := solveGen(t, ts2.URL, "/v1/solve"); g != 1 {
-		t.Fatalf("legacy solve after restart = %d, want 1", g)
+	if g := solveGen(t, ts2.URL, "/v1/datasets/default/solve"); g != 1 {
+		t.Fatalf("default solve after restart = %d, want 1", g)
 	}
 
 	// Deleting a tenant removes its directory and its routes.
@@ -229,7 +227,7 @@ func TestDaemonIdleEvictionReopens(t *testing.T) {
 	ts := httptest.NewServer(newServer(reg, time.Minute, 32<<20))
 	defer ts.Close()
 
-	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/ops", map[string]any{
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/default/ops", map[string]any{
 		"ops": []opJSON{{Op: "insert", Point: []float64{0.5, 0.5, 0.5}}},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -251,7 +249,7 @@ func TestDaemonIdleEvictionReopens(t *testing.T) {
 	}
 
 	// The next request reopens from disk at the mutated generation.
-	if g := solveGen(t, ts.URL, "/v1/solve"); g != 2 {
+	if g := solveGen(t, ts.URL, "/v1/datasets/default/solve"); g != 2 {
 		t.Fatalf("post-eviction solve generation = %d, want 2", g)
 	}
 }
@@ -302,9 +300,15 @@ func TestHealthzAndRouteErrors(t *testing.T) {
 		}
 		checkErrBody(resp, http.StatusNotFound, "GET "+path)
 	}
+	// The old single-dataset paths are unknown routes too; the default
+	// dataset answers only under /v1/datasets/default/.
+	for _, path := range []string{"/v1/solve", "/v1/batch", "/v1/ops"} {
+		body := queryJSON{K: 1, Lo: []float64{0.2, 0.2}, Hi: []float64{0.3, 0.3}}
+		checkErrBody(doJSON(t, http.MethodPost, ts.URL+path, body), http.StatusNotFound, "POST "+path)
+	}
 
 	// Wrong methods get 405, not the mux's plain-text default.
-	checkErrBody(doJSON(t, http.MethodPut, ts.URL+"/v1/solve", nil), http.StatusMethodNotAllowed, "PUT /v1/solve")
+	checkErrBody(doJSON(t, http.MethodPut, ts.URL+"/v1/datasets/default/solve", nil), http.StatusMethodNotAllowed, "PUT /v1/datasets/default/solve")
 	checkErrBody(doJSON(t, http.MethodDelete, ts.URL+"/v1/stats", nil), http.StatusMethodNotAllowed, "DELETE /v1/stats")
 	checkErrBody(doJSON(t, http.MethodPut, ts.URL+"/v1/datasets", nil), http.StatusMethodNotAllowed, "PUT /v1/datasets")
 	checkErrBody(doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/default", nil), http.StatusMethodNotAllowed, "GET /v1/datasets/default")
@@ -329,7 +333,7 @@ func TestMaxBodyCap(t *testing.T) {
 	defer ts.Close()
 
 	big := make([]float64, 4096)
-	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/solve", queryJSON{K: 1, Lo: big, Hi: big})
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/default/solve", queryJSON{K: 1, Lo: big, Hi: big})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body status = %d, want 400", resp.StatusCode)

@@ -32,13 +32,12 @@ func Solve(p Problem, o Options) (*Result, error) {
 // — honoring cancellation and deadlines on ctx. The pipeline is the
 // paper's: r-skyband pre-filtering (Section 6.3), recursive
 // partitioning of wR (Sections 4-5), and assembly of oR from the impact
-// halfspaces at the collected vertices (Theorem 1); each stage is
-// replaceable via Options.
+// halfspaces at the collected vertices (Theorem 1).
 func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 	start := time.Now()
 	o = o.withDefaults()
 	// The Timeout budget also rides on the context so that every stage
-	// — including a prefilter doing its own partitioning — is bounded.
+	// is bounded, not only the partition's budget checks.
 	if o.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, start.Add(o.Timeout))
@@ -51,37 +50,22 @@ func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 		vall: make(map[uint64]ImpactVertex),
 	}
 	s.stats.InputOptions = p.Scorer.Len()
+	var asm ParallelClipAssembler // Shards 0: ClipAssembler's sequential fold
 	if o.Shards > 1 {
 		s.acc = topk.NewShardAccum(o.Shards)
 		s.stats.Shards = o.Shards
+		asm.Shards = o.Shards
 	}
 
-	// The assembler is resolved before the partition so that, when it
-	// supports streaming, impact vertices flow into assembly as regions
-	// are confirmed instead of being buffered until the end. Both
-	// built-in assemblers stream; a custom Assembler without NewStream
-	// falls back to the buffered call below.
-	asm := o.Assembler
-	if asm == nil {
-		asm = ClipAssembler{}
-	}
-	if sa, ok := asm.(StreamAssembler); ok {
-		s.stream = sa.NewStream(p.Scorer, o.ORVertexBudget)
-	}
+	// The assembly stream opens before the partition, so impact
+	// vertices flow into assembly as regions are confirmed instead of
+	// being buffered until the end. Sharded solves fold through the
+	// chunked parallel merge.
+	s.stream = asm.NewStream(p.Scorer, o.ORVertexBudget)
 
 	// Stage 1 — prefilter: discard options that can never rank among
 	// the top-k anywhere in wR.
-	pf := o.Prefilter
-	if pf == nil {
-		pf = SkybandPrefilter{}
-	}
-	// A UTK prefilter without its own budget inherits the solve's, so
-	// MaxRegions bounds stage 1's internal partitioning too.
-	if u, ok := pf.(UTKPrefilter); ok && u.MaxRegions <= 0 {
-		u.MaxRegions = o.MaxRegions
-		pf = u
-	}
-	active, err := gatedFilter(ctx, p, o, pf, &s.stats)
+	active, err := gatedFilter(ctx, p, o, &s.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -105,15 +89,9 @@ func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	vall := s.sortedVall()
-	var ao AssembleOutput
-	if s.stream != nil {
-		ao = s.stream.Finish()
-	} else {
-		ao = asm.Assemble(p.Scorer, vall, o.ORVertexBudget)
-	}
+	ao := s.stream.Finish()
 	s.stats.ImpactClips = ao.Clips
 	s.stats.VallSize = len(vall)
-	s.stats.StreamedVertices = s.streamed
 	s.stats.UniqueImpacts = len(ao.Constraints) - 2*p.Scorer.Dim()
 	if o.Shards > 1 {
 		s.stats.ShardStats = s.shardStats(active, ao.ShardClips)
@@ -152,8 +130,7 @@ type solver struct {
 	mu          sync.Mutex
 	rng         *rand.Rand
 	vall        map[uint64]ImpactVertex // keyed by the quantized vertex hash
-	stream      AssembleStream          // non-nil when the assembler streams
-	streamed    int                     // vertices pushed into the stream
+	stream      AssembleStream          // oR assembly fed by accept (nil for filter-only solvers)
 	stats       Stats
 	acc         *topk.ShardAccum // per-shard work attribution (sharded solves only)
 	collectSets map[int]bool     // non-nil when the UTK filter wants top-k set members
@@ -549,7 +526,6 @@ func (s *solver) accept(region *geom.Polytope, cache *topk.Cache, verts []vec.Ve
 			// assembler the moment their region is confirmed.
 			if s.stream != nil {
 				s.stream.Push(iv)
-				s.streamed++
 			}
 		}
 	}
@@ -716,25 +692,19 @@ func UTKFilter(pts []vec.Vector, k int, wr *geom.Polytope) ([]int, error) {
 	return UTKFilterContext(context.Background(), pts, k, wr)
 }
 
-// UTKFilterContext is UTKFilter honoring cancellation on ctx.
+// UTKFilterContext is UTKFilter honoring cancellation on ctx. It runs
+// the kIPR partitioning sequentially with top-k set collection.
 func UTKFilterContext(ctx context.Context, pts []vec.Vector, k int, wr *geom.Polytope) ([]int, error) {
-	return utkFilter(ctx, NewProblem(pts, k, wr), Options{Alg: TAS})
-}
-
-// utkFilter runs the kIPR partitioning with top-k set collection.
-func utkFilter(ctx context.Context, p Problem, opt Options) ([]int, error) {
-	opt.Alg = TAS
-	opt.Workers = 0 // filtering runs sequentially inside one solve
-	opt = opt.withDefaults()
+	p := NewProblem(pts, k, wr)
 	s := &solver{
 		prob:        p,
-		opt:         opt,
+		opt:         Options{Alg: TAS}.withDefaults(),
 		rng:         rand.New(rand.NewSource(1)),
 		vall:        make(map[uint64]ImpactVertex),
 		collectSets: make(map[int]bool),
 	}
 	s.stats.InputOptions = p.Scorer.Len()
-	active, err := SkybandPrefilter{}.Filter(ctx, p)
+	active, err := rSkyband(ctx, p)
 	if err != nil {
 		return nil, err
 	}

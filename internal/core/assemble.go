@@ -8,15 +8,17 @@ import (
 	"toprr/internal/vec"
 )
 
-// Assembler is the final pipeline stage of a TopRR solve: given the
-// collected impact vertices Vall, it produces oR per Theorem 1 — the
-// intersection of the option box with the impact halfspaces of every
-// vertex. Implementations must be deterministic for a given Vall.
+// Assembler is the buffered form of the final pipeline stage of a
+// TopRR solve: given the collected impact vertices Vall, it produces oR
+// per Theorem 1 — the intersection of the option box with the impact
+// halfspaces of every vertex. Implementations must be deterministic for
+// a given Vall.
 //
-// Assemblers that also implement StreamAssembler consume impact
-// vertices as the partition stage produces them; the solver prefers
-// that path (see stream.go) and only buffers Vall for assemblers that
-// lack it.
+// A solve itself streams: it opens ParallelClipAssembler's stream (see
+// stream.go), which is ClipAssembler's sequential fold when the solve is
+// unsharded, and pushes impact vertices as the partition stage confirms
+// regions. The buffered Assemble calls are bit-identical to that stream
+// and serve replay and benchmark harnesses.
 type Assembler interface {
 	// Name identifies the assembler in stats and logs.
 	Name() string
@@ -50,7 +52,7 @@ type ClipAssembler struct{}
 // Name implements Assembler.
 func (ClipAssembler) Name() string { return "clip" }
 
-// NewStream implements StreamAssembler.
+// NewStream opens a streaming assembly for one solve.
 func (ClipAssembler) NewStream(scorer *topk.Scorer, vertexBudget int) AssembleStream {
 	return &clipStream{set: impactSet{scorer: scorer}, budget: vertexBudget}
 }
@@ -132,7 +134,7 @@ type ParallelClipAssembler struct {
 // Name implements Assembler.
 func (ParallelClipAssembler) Name() string { return "clip-sharded" }
 
-// NewStream implements StreamAssembler.
+// NewStream opens a streaming assembly for one solve.
 func (a ParallelClipAssembler) NewStream(scorer *topk.Scorer, vertexBudget int) AssembleStream {
 	return &clipStream{set: impactSet{scorer: scorer}, budget: vertexBudget, shards: a.Shards}
 }

@@ -21,9 +21,8 @@
 // dataset to the candidates that can appear in any top-k result over
 // wR, Partition recursively splits wR on score-tie hyperplanes until
 // every region has an invariant top-k outcome, and Assemble intersects
-// the impact halfspaces into oR (Theorem 1). Each stage sits behind an
-// interface selected via Options, and every entry point honors context
-// cancellation.
+// the impact halfspaces into oR (Theorem 1). The pipeline is fixed, and
+// every entry point honors context cancellation.
 //
 // # Generation pinning and the hyperplane cache
 //

@@ -1,74 +1,17 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
-
-	"toprr/internal/geom"
 )
 
-// Traversal selects the order in which the partition stage expands the
-// region tree. All orders produce the same oR (the set of confirmed
-// regions is traversal-invariant); they differ in memory footprint and
-// in how quickly the budget valve bites on pathological inputs.
-type Traversal int
-
-const (
-	// DepthFirst (the default) expands the most recently produced
-	// region first. Minimal frontier memory.
-	DepthFirst Traversal = iota
-	// BreadthFirst expands regions level by level, which keeps sibling
-	// regions of similar size together and makes progress uniform
-	// across wR — useful when a timeout may interrupt the solve.
-	BreadthFirst
-	// PriorityOrder expands the geometrically largest frontier region
-	// first (by bounding-box extent), so the biggest undecided chunks
-	// of wR are resolved earliest.
-	PriorityOrder
-)
-
-// String returns a short name for the traversal order.
-func (t Traversal) String() string {
-	switch t {
-	case DepthFirst:
-		return "dfs"
-	case BreadthFirst:
-		return "bfs"
-	case PriorityOrder:
-		return "priority"
-	default:
-		return fmt.Sprintf("traversal(%d)", int(t))
-	}
-}
-
-// frontier is the partition stage's scheduling interface: the set of
-// regions awaiting processing. Implementations are used only from the
-// scheduler goroutine and need not be thread-safe.
-type frontier interface {
-	push(regionCtx)
-	pop() (regionCtx, bool)
-	len() int
-}
-
-// newFrontier builds the frontier for a traversal order.
-func newFrontier(t Traversal) frontier {
-	switch t {
-	case BreadthFirst:
-		return &fifoFrontier{}
-	case PriorityOrder:
-		return &priorityFrontier{}
-	default:
-		return &lifoFrontier{}
-	}
-}
-
-// lifoFrontier is a stack (depth-first).
+// lifoFrontier is the partition stage's region stack: the most
+// recently produced region is expanded first, which keeps the frontier
+// minimal. Only the scheduler goroutine touches it.
 type lifoFrontier struct{ items []regionCtx }
 
 func (f *lifoFrontier) push(rc regionCtx) { f.items = append(f.items, rc) }
-func (f *lifoFrontier) len() int          { return len(f.items) }
 func (f *lifoFrontier) pop() (regionCtx, bool) {
 	if len(f.items) == 0 {
 		return regionCtx{}, false
@@ -76,73 +19,6 @@ func (f *lifoFrontier) pop() (regionCtx, bool) {
 	rc := f.items[len(f.items)-1]
 	f.items = f.items[:len(f.items)-1]
 	return rc, true
-}
-
-// fifoFrontier is a queue (breadth-first) with amortized compaction.
-type fifoFrontier struct {
-	items []regionCtx
-	head  int
-}
-
-func (f *fifoFrontier) push(rc regionCtx) { f.items = append(f.items, rc) }
-func (f *fifoFrontier) len() int          { return len(f.items) - f.head }
-func (f *fifoFrontier) pop() (regionCtx, bool) {
-	if f.head >= len(f.items) {
-		return regionCtx{}, false
-	}
-	rc := f.items[f.head]
-	f.items[f.head] = regionCtx{}
-	f.head++
-	if f.head > 64 && f.head*2 >= len(f.items) {
-		f.items = append(f.items[:0], f.items[f.head:]...)
-		f.head = 0
-	}
-	return rc, true
-}
-
-// priorityFrontier pops the region with the largest bounding-box extent
-// first.
-type priorityFrontier struct{ h prioHeap }
-
-type prioItem struct {
-	rc   regionCtx
-	size float64
-}
-
-type prioHeap []prioItem
-
-func (h prioHeap) Len() int            { return len(h) }
-func (h prioHeap) Less(i, j int) bool  { return h[i].size > h[j].size }
-func (h prioHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *prioHeap) Push(x interface{}) { *h = append(*h, x.(prioItem)) }
-func (h *prioHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// regionExtent scores a region by the sum of its bounding-box side
-// lengths — cheap, and monotone under splitting.
-func regionExtent(p *geom.Polytope) float64 {
-	lo, hi := p.BoundingBox()
-	s := 0.0
-	for j := range lo {
-		s += hi[j] - lo[j]
-	}
-	return s
-}
-
-func (f *priorityFrontier) push(rc regionCtx) {
-	heap.Push(&f.h, prioItem{rc: rc, size: regionExtent(rc.region)})
-}
-func (f *priorityFrontier) len() int { return len(f.h) }
-func (f *priorityFrontier) pop() (regionCtx, bool) {
-	if len(f.h) == 0 {
-		return regionCtx{}, false
-	}
-	return heap.Pop(&f.h).(prioItem).rc, true
 }
 
 // checkBudget enforces context cancellation, MaxRegions and Timeout.
@@ -166,7 +42,7 @@ func (s *solver) checkBudget(ctx context.Context, start time.Time) error {
 // direction of the paper's future-work section; results are identical,
 // traversal order and the Seed-dependent split choices may differ).
 func (s *solver) drive(ctx context.Context, root regionCtx, start time.Time) error {
-	f := newFrontier(s.opt.Traversal)
+	f := &lifoFrontier{}
 	f.push(root)
 	if s.opt.Workers <= 1 {
 		for {
@@ -201,7 +77,7 @@ type processOutcome struct {
 // The scheduler stops dispatching on the first error or context
 // cancellation, drains in-flight work, and only then returns, so no
 // worker is left writing to a closed or abandoned channel.
-func (s *solver) driveParallel(ctx context.Context, f frontier, start time.Time) error {
+func (s *solver) driveParallel(ctx context.Context, f *lifoFrontier, start time.Time) error {
 	tasks := make(chan regionCtx)
 	outcomes := make(chan processOutcome)
 	done := make(chan struct{})

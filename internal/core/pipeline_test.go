@@ -11,19 +11,6 @@ import (
 	"toprr/internal/vec"
 )
 
-// cancellingPrefilter runs the real skyband prefilter, then cancels the
-// solve's context — so the partition stage deterministically starts
-// with a cancelled context, exercising the driver's abort path.
-type cancellingPrefilter struct{ cancel context.CancelFunc }
-
-func (cancellingPrefilter) Name() string { return "cancelling" }
-
-func (c cancellingPrefilter) Filter(ctx context.Context, p Problem) ([]int, error) {
-	active, err := SkybandPrefilter{}.Filter(ctx, p)
-	c.cancel()
-	return active, err
-}
-
 // TestSolveContextPreCancelled: a cancelled context aborts before any
 // work is done.
 func TestSolveContextPreCancelled(t *testing.T) {
@@ -38,13 +25,20 @@ func TestSolveContextPreCancelled(t *testing.T) {
 
 // TestSolveContextCancelDuringPartition cancels between the prefilter
 // and partition stages, for both the sequential and the channel-based
-// parallel driver.
+// parallel driver: a sketch gate cancels the solve's context and
+// declines, so the full r-skyband runs and the partition stage
+// deterministically starts with a cancelled context, exercising the
+// driver's abort path.
 func TestSolveContextCancelDuringPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	prob := randomProblem(rng, 150, 3, 5)
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		opt := Options{Alg: TASStar, Workers: workers, Prefilter: cancellingPrefilter{cancel: cancel}}
+		cancellingGate := func(*topk.Scorer, []vec.Vector, int) ([]int, int, bool) {
+			cancel()
+			return nil, 0, false
+		}
+		opt := Options{Alg: TASStar, Workers: workers, SketchGate: cancellingGate}
 		_, err := SolveContext(ctx, prob, opt)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -110,38 +104,6 @@ func TestSolveContextMidFlightCancel(t *testing.T) {
 	}
 }
 
-// TestTraversalOrdersAgree: DFS, BFS and priority-driven partitioning
-// confirm the same oR (membership-compared).
-func TestTraversalOrdersAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	for iter := 0; iter < 4; iter++ {
-		d := 2 + iter%3
-		prob := randomProblem(rng, 120, d, 2+rng.Intn(5))
-		base, err := Solve(prob, Options{Alg: TASStar})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tr := range []Traversal{BreadthFirst, PriorityOrder} {
-			res, err := Solve(prob, Options{Alg: TASStar, Traversal: tr})
-			if err != nil {
-				t.Fatalf("%v: %v", tr, err)
-			}
-			for probe := 0; probe < 300; probe++ {
-				o := vec.New(d)
-				for j := range o {
-					o[j] = rng.Float64()
-				}
-				if base.IsTopRanking(o) != res.IsTopRanking(o) {
-					t.Fatalf("iter %d: %v traversal differs at %v", iter, tr, o)
-				}
-			}
-			if res.Stats.Regions == 0 {
-				t.Fatalf("%v: stats not populated", tr)
-			}
-		}
-	}
-}
-
 // TestSharedCachesMatch: solving with engine-style shared caches
 // (hyperplane interning + top-k registry) is an optimization only — the
 // results must be identical to isolated solves, and repeated solves
@@ -183,30 +145,6 @@ func TestSharedCachesMatch(t *testing.T) {
 		o := vec.Of(rng.Float64(), rng.Float64(), rng.Float64())
 		if base.IsTopRanking(o) != first.IsTopRanking(o) || base.IsTopRanking(o) != second.IsTopRanking(o) {
 			t.Fatalf("shared-cache solve differs at %v", o)
-		}
-	}
-}
-
-// TestNoPrefilterMatches: disabling the prefilter changes cost, never
-// the answer.
-func TestNoPrefilterMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	prob := randomProblem(rng, 90, 3, 3)
-	base, err := Solve(prob, Options{Alg: TASStar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(prob, Options{Alg: TASStar, Prefilter: NoPrefilter{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.FilteredOptions != prob.Scorer.Len() {
-		t.Errorf("NoPrefilter kept %d of %d options", res.Stats.FilteredOptions, prob.Scorer.Len())
-	}
-	for probe := 0; probe < 300; probe++ {
-		o := vec.Of(rng.Float64(), rng.Float64(), rng.Float64())
-		if base.IsTopRanking(o) != res.IsTopRanking(o) {
-			t.Fatalf("NoPrefilter solve differs at %v", o)
 		}
 	}
 }

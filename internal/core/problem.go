@@ -79,12 +79,9 @@ func PrefBox(lo, hi vec.Vector) *geom.Polytope {
 // Options tunes a Solve call. The Disable* switches exist for the
 // paper's ablation study (Section 6.5) and only affect TAS*.
 //
-// The pipeline-stage fields (Prefilter, Traversal, Assembler) select
-// alternative strategies for the three solve stages; their zero values
-// are the paper's defaults (r-skyband, depth-first, incremental
-// clipping). Hyperplanes and TopKCaches accept engine-owned cross-query
-// caches so batches of solves over one dataset amortize geometric and
-// scoring work; both must be bound to the problem's dataset.
+// Hyperplanes and TopKCaches accept engine-owned cross-query caches so
+// batches of solves over one dataset amortize geometric and scoring
+// work; both must be bound to the problem's dataset.
 type Options struct {
 	Alg              Algorithm
 	DisableLemma5    bool          // TAS*: skip consistent top-λ pruning (Section 5.1)
@@ -98,20 +95,17 @@ type Options struct {
 	Timeout          time.Duration // wall-clock budget for one solve (0 = unlimited)
 	Seed             int64         // seed for the random pair choices of PAC/TAS
 
-	Prefilter   Prefilter        // candidate filtering stage (nil = SkybandPrefilter)
-	Traversal   Traversal        // region scheduling order (default DepthFirst)
-	Assembler   Assembler        // oR assembly stage (nil = ClipAssembler; sharded engines default to ParallelClipAssembler)
 	Hyperplanes *HyperplaneCache // optional cross-query split-hyperplane interning
 	TopKCaches  *topk.Registry   // optional cross-query top-k memoization
 
-	// SketchGate accelerates the default r-skyband prefilter: when the
-	// hook certifies that every option outside its candidate list can
-	// never enter a top-k result over wR, the exact dominance sweep runs
-	// only over the certified candidates. The gate engages only for the
-	// default prefilter, only with a certificate, and only to skip work
-	// whose outcome the certificate pins — a gated solve is bit-identical
-	// to an ungated one. DisableSketchGate turns the hook off for one
-	// solve (ablation and A/B harnesses).
+	// SketchGate accelerates the r-skyband prefilter: when the hook
+	// certifies that every option outside its candidate list can never
+	// enter a top-k result over wR, the exact dominance sweep runs only
+	// over the certified candidates. The gate engages only with a
+	// certificate, and only to skip work whose outcome the certificate
+	// pins — a gated solve is bit-identical to an ungated one.
+	// DisableSketchGate turns the hook off for one solve (ablation and
+	// A/B harnesses).
 	SketchGate        GateFn
 	DisableSketchGate bool
 }
@@ -140,25 +134,24 @@ func (o Options) withDefaults() Options {
 // Stats captures the instrumentation the paper reports in Sections 6.4
 // and 6.5, plus the per-shard work breakdown of sharded solves.
 type Stats struct {
-	InputOptions     int           // |D|
-	FilteredOptions  int           // |D'| after the r-skyband filter
-	ProcessedMin     int           // smallest active set seen (Lemma 5 shrinks it)
-	Regions          int           // confirmed regions (kIPRs, or Lemma 7 accepts)
-	Splits           int           // split operations performed
-	Lemma5Prunes     int           // options removed by Lemma 5 across the recursion
-	Lemma7Accepts    int           // non-kIPR regions accepted by Lemma 7
-	DegenerateStops  int           // regions accepted because no valid cut existed (ties)
-	VallSize         int           // |Vall| (Theorem 1 vertex set)
-	TopKQueries      int           // top-k computations incl. cache hits
-	TopKMisses       int           // top-k computations that did real work
-	ImpactClips      int           // impact halfspaces applied to build oR
-	StreamedVertices int           // vertices streamed into the assembler during partition (0 = buffered)
-	UniqueImpacts    int           // deduplicated impact halfspaces in the H-representation
-	Shards           int           // shard count of the evaluation plane (0/1 = unsharded)
-	ShardStats       []ShardStat   // per-shard work breakdown (sharded solves only)
-	SketchGated      bool          // the sketch gate certified this solve's prefilter
-	SketchSkips      int           // options the certificate excused from exact dominance tests
-	Elapsed          time.Duration // wall-clock time of Solve
+	InputOptions    int           // |D|
+	FilteredOptions int           // |D'| after the r-skyband filter
+	ProcessedMin    int           // smallest active set seen (Lemma 5 shrinks it)
+	Regions         int           // confirmed regions (kIPRs, or Lemma 7 accepts)
+	Splits          int           // split operations performed
+	Lemma5Prunes    int           // options removed by Lemma 5 across the recursion
+	Lemma7Accepts   int           // non-kIPR regions accepted by Lemma 7
+	DegenerateStops int           // regions accepted because no valid cut existed (ties)
+	VallSize        int           // |Vall| (Theorem 1 vertex set)
+	TopKQueries     int           // top-k computations incl. cache hits
+	TopKMisses      int           // top-k computations that did real work
+	ImpactClips     int           // impact halfspaces applied to build oR
+	UniqueImpacts   int           // deduplicated impact halfspaces in the H-representation
+	Shards          int           // shard count of the evaluation plane (0/1 = unsharded)
+	ShardStats      []ShardStat   // per-shard work breakdown (sharded solves only)
+	SketchGated     bool          // the sketch gate certified this solve's prefilter
+	SketchSkips     int           // options the certificate excused from exact dominance tests
+	Elapsed         time.Duration // wall-clock time of Solve
 }
 
 // ShardStat is one shard's share of a solve's work: its population of

@@ -40,7 +40,7 @@ func ReverseTopKContext(ctx context.Context, pts []vec.Vector, k int, wr *geom.P
 		vall: make(map[uint64]ImpactVertex),
 	}
 	s.stats.InputOptions = p.Scorer.Len()
-	active, err := SkybandPrefilter{}.Filter(ctx, p)
+	active, err := rSkyband(ctx, p)
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ func TestShardedSolveParallelWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(prob, Options{Alg: TASStar, Shards: 4, Workers: 4, Assembler: ParallelClipAssembler{Shards: 4}})
+		res, err := Solve(prob, Options{Alg: TASStar, Shards: 4, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,20 +35,9 @@ const impactQuantum = 1e-9
 // ordered.
 const vallQuantum = 1e-10
 
-// StreamAssembler is implemented by assemblers that can consume impact
-// vertices incrementally as the partition stage confirms regions. The
-// solver streams by default whenever Options.Assembler implements it
-// (both built-in assemblers do); a custom Assembler without NewStream
-// falls back to the buffered call.
-type StreamAssembler interface {
-	Assembler
-	// NewStream opens a streaming assembly for one solve. The returned
-	// stream accepts Push from multiple goroutines and is finalized by a
-	// single Finish call.
-	NewStream(scorer *topk.Scorer, vertexBudget int) AssembleStream
-}
-
-// AssembleStream is an in-progress streaming assembly.
+// AssembleStream is an in-progress streaming assembly, opened by the
+// assemblers' NewStream for one solve. It accepts Push from multiple
+// goroutines and is finalized by a single Finish call.
 type AssembleStream interface {
 	// Push feeds one impact vertex. Duplicate impact halfspaces (on the
 	// quantized grid) are absorbed. Safe for concurrent use.
@@ -166,22 +155,13 @@ type clipStream struct {
 	set    impactSet
 	budget int
 	shards int
-	pushed int
 }
 
 // Push implements AssembleStream.
 func (st *clipStream) Push(iv ImpactVertex) {
 	st.mu.Lock()
 	st.set.add(iv)
-	st.pushed++
 	st.mu.Unlock()
-}
-
-// Pushed returns the number of vertices streamed so far.
-func (st *clipStream) Pushed() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.pushed
 }
 
 // Finish implements AssembleStream.

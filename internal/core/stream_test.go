@@ -70,7 +70,10 @@ func assertSameOutput(t *testing.T, want, got AssembleOutput, label string) {
 // deepest-cut sort are arrival-order independent by construction.
 func TestStreamingMatchesBufferedAnyOrder(t *testing.T) {
 	scorer, vall := streamTestInstance(t)
-	assemblers := []StreamAssembler{
+	assemblers := []interface {
+		Assembler
+		NewStream(*topk.Scorer, int) AssembleStream
+	}{
 		ClipAssembler{},
 		ParallelClipAssembler{Shards: 3},
 	}
@@ -121,18 +124,8 @@ func TestStreamingDuplicateRepresentative(t *testing.T) {
 	assertSameOutput(t, want, forward, "twin-vs-clean")
 }
 
-// bufferedOnlyAssembler wraps ClipAssembler without implementing
-// StreamAssembler, forcing the solver's buffered fallback.
-type bufferedOnlyAssembler struct{}
-
-func (bufferedOnlyAssembler) Name() string { return "buffered-only" }
-func (bufferedOnlyAssembler) Assemble(scorer *topk.Scorer, vall []ImpactVertex, vertexBudget int) AssembleOutput {
-	return ClipAssembler{}.Assemble(scorer, vall, vertexBudget)
-}
-
-// TestSolveStreamsByDefault: the default solve streams every Vall
-// vertex into the assembler during partition, and its result is
-// bit-identical to a solve forced onto the buffered fallback.
+// TestSolveStreamsByDefault: the solve's streamed assembly is
+// bit-identical to a buffered Assemble over its own Vall.
 func TestSolveStreamsByDefault(t *testing.T) {
 	ds := dataset.Generate(dataset.Independent, 1200, 4, 3)
 	wr := testRegion(3, 0.06, 4)
@@ -142,37 +135,15 @@ func TestSolveStreamsByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatalf("default solve: %v", err)
 	}
-	if def.Stats.StreamedVertices == 0 {
-		t.Fatal("default solve did not stream")
-	}
-	if def.Stats.StreamedVertices != def.Stats.VallSize {
-		t.Fatalf("streamed %d vertices, want |Vall| = %d",
-			def.Stats.StreamedVertices, def.Stats.VallSize)
-	}
 	if def.Stats.UniqueImpacts != len(def.ORConstraints)-2*prob.Scorer.Dim() {
 		t.Fatalf("UniqueImpacts = %d, want %d",
 			def.Stats.UniqueImpacts, len(def.ORConstraints)-2*prob.Scorer.Dim())
 	}
 
-	buf, err := Solve(prob, Options{Alg: TASStar, Seed: 2, Assembler: bufferedOnlyAssembler{}})
-	if err != nil {
-		t.Fatalf("buffered solve: %v", err)
-	}
-	if buf.Stats.StreamedVertices != 0 {
-		t.Fatalf("buffered fallback streamed %d vertices, want 0", buf.Stats.StreamedVertices)
-	}
 	assertSameOutput(t,
+		ClipAssembler{}.Assemble(prob.Scorer, def.Vall, 5000),
 		AssembleOutput{Constraints: def.ORConstraints, OR: def.OR, Clips: def.Stats.ImpactClips},
-		AssembleOutput{Constraints: buf.ORConstraints, OR: buf.OR, Clips: buf.Stats.ImpactClips},
 		"solve")
-	if len(def.Vall) != len(buf.Vall) {
-		t.Fatalf("Vall sizes differ: %d vs %d", len(def.Vall), len(buf.Vall))
-	}
-	for i := range def.Vall {
-		if !def.Vall[i].W.Equal(buf.Vall[i].W, 0) || def.Vall[i].KthScore != buf.Vall[i].KthScore {
-			t.Fatalf("Vall[%d] differs", i)
-		}
-	}
 }
 
 // TestDedupImpactMatchesStream pins the buffered dedup helper to the

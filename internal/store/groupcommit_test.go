@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -158,14 +160,15 @@ func TestSnapshotShardCountRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotLegacyFormatReads: a TOPRRSN1 snapshot (no shard-count
-// word) still opens, reads shard count 0, and adopts the opener's
-// configured count.
-func TestSnapshotLegacyFormatReads(t *testing.T) {
+// TestSnapshotOldFormatRefused: a TOPRRSN1 snapshot (the pre-shard
+// format, without the shard-count word) is not read. Open fails on a
+// directory whose only snapshot is one, and leaves that file and the
+// WAL untouched.
+func TestSnapshotOldFormatRefused(t *testing.T) {
 	dir := t.TempDir()
 	pts := []vec.Vector{vec.Of(0.1, 0.2), vec.Of(0.3, 0.4)}
 
-	// Hand-craft the legacy format: magic TOPRRSN1, 24-byte header
+	// Hand-craft the old format: magic TOPRRSN1, 24-byte header
 	// without the shard word, row-major points, trailing CRC.
 	d := 2
 	payload := make([]byte, 8+8+4+4+len(pts)*d*8)
@@ -181,23 +184,35 @@ func TestSnapshotLegacyFormatReads(t *testing.T) {
 			off += 8
 		}
 	}
-	buf := append([]byte(snapMagicV1), payload...)
+	buf := append([]byte("TOPRRSN1"), payload...)
 	buf = le.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), buf, 0o644); err != nil {
+	snapPath := filepath.Join(dir, snapshotName(1))
+	if err := os.WriteFile(snapPath, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A WAL segment beside it, as the old store left one.
+	walPath := filepath.Join(dir, segmentName(1))
+	wal := []byte(walMagic + "old batches")
+	if err := os.WriteFile(walPath, wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s, err := Open(PersistConfig{Dir: dir, Shards: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open read a TOPRRSN1 snapshot")
 	}
-	defer s.Close()
-	if s.Len() != 2 {
-		t.Fatalf("legacy snapshot recovered %d options, want 2", s.Len())
+	if !strings.Contains(err.Error(), "not a snapshot file") {
+		t.Fatalf("Open error = %v, want the not-a-snapshot refusal", err)
 	}
-	// Legacy data has no recorded layout: the opener's count applies.
-	if s.Shards() != 4 {
-		t.Fatalf("legacy open shards = %d, want adopted 4", s.Shards())
+	for path, want := range map[string][]byte{snapPath: buf, walPath: wal} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s after the refused open: %v", filepath.Base(path), err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by the refused open", filepath.Base(path))
+		}
 	}
 }
 

@@ -16,10 +16,7 @@ package store
 //
 // written to a temp file, fsynced and renamed into place, so a snapshot
 // is either wholly present or absent. Files are named
-// snap-<generation>.snap in zero-padded hex. The predecessor format
-// "TOPRRSN1" — identical but without the shard-count word — is still
-// read (as shard count 0), so pre-shard data directories open cleanly;
-// new snapshots are always written in the current format.
+// snap-<generation>.snap in zero-padded hex.
 
 import (
 	"encoding/binary"
@@ -35,10 +32,7 @@ import (
 	"toprr/internal/vec"
 )
 
-const (
-	snapMagicV1 = "TOPRRSN1" // legacy: no shard-count word
-	snapMagic   = "TOPRRSN2"
-)
+const snapMagic = "TOPRRSN2"
 
 // SyncMode selects the WAL durability level.
 type SyncMode int
@@ -97,7 +91,8 @@ type PersistConfig struct {
 	// Shards records the dataset's shard count in the snapshot metadata
 	// (0 = unsharded). When the directory already holds state, the
 	// persisted count wins — a reopened dataset keeps its layout — and
-	// Shards only seeds fresh or legacy (pre-shard) directories.
+	// Shards only seeds fresh directories and ones whose snapshot
+	// records no layout (count 0).
 	Shards int
 }
 
@@ -209,23 +204,14 @@ func writeSnapshot(dir string, gen Generation, seq uint64, pts []vec.Vector, sha
 	return syncDir(dir)
 }
 
-// readSnapshot loads and checksums one base snapshot file, accepting
-// both the current format and the legacy shard-less one (whose shard
-// count reads as 0).
+// readSnapshot loads and checksums one base snapshot file.
 func readSnapshot(path string) (gen Generation, seq uint64, pts []vec.Vector, shards int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, nil, 0, err
 	}
-	headerLen := 28
-	switch {
-	case len(data) >= len(snapMagic) && string(data[:len(snapMagic)]) == snapMagic:
-	case len(data) >= len(snapMagicV1) && string(data[:len(snapMagicV1)]) == snapMagicV1:
-		headerLen = 24 // legacy: no shard-count word
-	default:
-		return 0, 0, nil, 0, fmt.Errorf("%s: not a snapshot file", path)
-	}
-	if len(data) < len(snapMagic)+headerLen+4 {
+	const headerLen = 28
+	if len(data) < len(snapMagic)+headerLen+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return 0, 0, nil, 0, fmt.Errorf("%s: not a snapshot file", path)
 	}
 	le := binary.LittleEndian
@@ -238,9 +224,7 @@ func readSnapshot(path string) (gen Generation, seq uint64, pts []vec.Vector, sh
 	seq = le.Uint64(payload[8:])
 	n := int(le.Uint32(payload[16:]))
 	d := int(le.Uint32(payload[20:]))
-	if headerLen == 28 {
-		shards = int(le.Uint32(payload[24:]))
-	}
+	shards = int(le.Uint32(payload[24:]))
 	// Bound each factor by the payload before multiplying, so a corrupt
 	// (but CRC-colliding) header can neither overflow the size check nor
 	// drive a giant allocation.
@@ -271,13 +255,18 @@ func listSnapshots(dir string) ([]string, error) {
 	var paths []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".snap") {
+		if e.IsDir() || !isSnapshotName(name) {
 			continue
 		}
 		paths = append(paths, filepath.Join(dir, name))
 	}
 	sort.Sort(sort.Reverse(sort.StringSlice(paths)))
 	return paths, nil
+}
+
+// isSnapshotName reports whether a file name is a base snapshot's.
+func isSnapshotName(name string) bool {
+	return strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap")
 }
 
 // HasState reports whether dir already holds a recoverable store (a
@@ -387,8 +376,8 @@ func Open(cfg PersistConfig, boot []vec.Vector) (*Store, error) {
 			rs.pts, rs.gen, rs.seq = pts, gen, seq
 			s.lastCompact = gen
 			// The persisted shard count wins, so a reopened dataset
-			// keeps its layout; a legacy (pre-shard) snapshot adopts the
-			// opener's configuration and records it on the next
+			// keeps its layout; an unsharded snapshot (count 0) adopts
+			// the opener's configuration and records it on the next
 			// compaction.
 			s.shards = shards
 			if s.shards == 0 {

@@ -15,8 +15,7 @@ package store
 //
 // This file holds the layout-level helpers: dataset-name validation
 // (names are path components and must never escape the root), boot-time
-// discovery of existing datasets, dataset removal, and the migration of
-// a pre-tenancy single-store root into the <root>/<dataset>/ shape.
+// discovery of existing datasets, and dataset removal.
 
 import (
 	"fmt"
@@ -70,6 +69,10 @@ func DatasetDir(root, name string) string {
 // recover — as are entries whose names the grammar rejects (operator
 // artifacts, not datasets). A missing root is simply no datasets. The
 // result is sorted by name.
+//
+// A root that itself holds base snapshots or WAL segments — one store
+// opened directly on it — is refused: its files belong in a dataset
+// subdirectory, and discovery moves and deletes nothing.
 func DiscoverDatasets(root string) ([]string, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -80,7 +83,14 @@ func DiscoverDatasets(root string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() || ValidateDatasetName(e.Name()) != nil {
+		if !e.IsDir() {
+			if isSnapshotName(e.Name()) || isSegmentName(e.Name()) {
+				return nil, fmt.Errorf("store: discover %s: the root holds store file %s directly; move its snap-*.snap and wal-*.seg files into %s",
+					root, e.Name(), DatasetDir(root, "default")+string(filepath.Separator))
+			}
+			continue
+		}
+		if ValidateDatasetName(e.Name()) != nil {
 			continue
 		}
 		ok, err := HasState(filepath.Join(root, e.Name()))
@@ -108,74 +118,4 @@ func RemoveDataset(root, name string) error {
 		return fmt.Errorf("store: remove dataset %s: %w", name, err)
 	}
 	return syncDir(root)
-}
-
-// MigrateLegacyLayout upgrades a pre-tenancy data directory — base
-// snapshots and WAL segments directly under root, as written by
-// single-store Open — into the multi-dataset layout by moving them into
-// <root>/<name>/. It returns whether a migration happened; a root that
-// is absent, empty, or already in the new layout is left untouched.
-//
-// The migration takes the legacy root LOCK first, so it can never move
-// segment files out from under a live store owned by another process;
-// the lock file itself is removed afterwards, since per-dataset LOCKs
-// supersede it. Renames are same-directory-tree and the root is fsynced
-// once at the end: a crash mid-migration leaves some files moved and
-// some not, and the next MigrateLegacyLayout run completes the move (a
-// dataset dir with state plus legacy root files resumes moving them).
-func MigrateLegacyLayout(root, name string) (migrated bool, err error) {
-	if err := ValidateDatasetName(name); err != nil {
-		return false, err
-	}
-	legacy, err := HasState(root)
-	if err != nil {
-		return false, err
-	}
-	segs, err := filepath.Glob(filepath.Join(root, "wal-*.seg"))
-	if err != nil {
-		return false, err
-	}
-	if !legacy && len(segs) == 0 {
-		return false, nil
-	}
-
-	// Exclude a live pre-tenancy process before touching its files.
-	lockPath := filepath.Join(root, "LOCK")
-	lock, err := os.OpenFile(lockPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return false, fmt.Errorf("store: migrate %s: %w", root, err)
-	}
-	defer lock.Close()
-	if err := lockFile(lock); err != nil {
-		return false, fmt.Errorf("store: migrate %s: root is in use by another store (flock: %v)", root, err)
-	}
-
-	dir := DatasetDir(root, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return false, fmt.Errorf("store: migrate %s: %w", root, err)
-	}
-	for _, pattern := range []string{"snap-*.snap", "wal-*.seg"} {
-		paths, err := filepath.Glob(filepath.Join(root, pattern))
-		if err != nil {
-			return false, err
-		}
-		for _, p := range paths {
-			if err := os.Rename(p, filepath.Join(dir, filepath.Base(p))); err != nil {
-				return false, fmt.Errorf("store: migrate %s: %w", root, err)
-			}
-		}
-	}
-	if err := syncDir(dir); err != nil {
-		return false, err
-	}
-	// The per-dataset LOCK supersedes the root one; drop it so the root
-	// holds only dataset subdirectories. The flock stays held by the
-	// open fd until this function returns.
-	if err := os.Remove(lockPath); err != nil {
-		return false, err
-	}
-	if err := syncDir(root); err != nil {
-		return false, err
-	}
-	return true, nil
 }

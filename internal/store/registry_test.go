@@ -99,67 +99,3 @@ func TestRemoveDataset(t *testing.T) {
 		t.Fatal("RemoveDataset accepted a path-escaping name")
 	}
 }
-
-// TestMigrateLegacyLayout: a pre-tenancy root (snapshots and WAL
-// directly under -data-dir) migrates into <root>/<name>/ and recovers
-// to the same generation and contents; an already-migrated root is left
-// alone.
-func TestMigrateLegacyLayout(t *testing.T) {
-	root := t.TempDir()
-	boot := []vec.Vector{vec.Of(0.2, 0.8), vec.Of(0.8, 0.2)}
-	legacy, err := Open(PersistConfig{Dir: root}, boot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := legacy.Apply([]Op{Insert(vec.Of(0.5, 0.5))}); err != nil {
-		t.Fatal(err)
-	}
-	wantGen := legacy.Generation()
-	wantPts := legacy.Snapshot().Scorer.Points()
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	migrated, err := MigrateLegacyLayout(root, "default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !migrated {
-		t.Fatal("legacy root not migrated")
-	}
-	if names, _ := DiscoverDatasets(root); !reflect.DeepEqual(names, []string{"default"}) {
-		t.Fatalf("post-migration discovery = %v", names)
-	}
-	if ok, _ := HasState(root); ok {
-		t.Fatal("legacy snapshots survive in the root")
-	}
-
-	// The migrated dataset recovers exactly; the decoy bootstrap must be
-	// ignored.
-	s, err := Open(PersistConfig{Dir: DatasetDir(root, "default")}, []vec.Vector{vec.Of(0.1, 0.1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Generation() != wantGen {
-		t.Fatalf("migrated generation = %d, want %d", s.Generation(), wantGen)
-	}
-	got := s.Snapshot().Scorer.Points()
-	if len(got) != len(wantPts) {
-		t.Fatalf("migrated %d options, want %d", len(got), len(wantPts))
-	}
-	for i := range got {
-		if !got[i].Equal(wantPts[i], 0) {
-			t.Fatalf("option %d = %v, want %v", i, got[i], wantPts[i])
-		}
-	}
-
-	// Idempotence: nothing legacy remains, so a second call is a no-op.
-	migrated, err = MigrateLegacyLayout(root, "default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated {
-		t.Fatal("second migration reported work")
-	}
-}

@@ -206,7 +206,7 @@ type Store struct {
 	lastCompact Generation // generation of the newest base snapshot (mu)
 	compactErr  error      // last failed maintenance cycle, retried on the next Apply (mu)
 	closed      bool
-	shards      int // shard count recorded in the snapshot metadata (0 = unsharded/legacy)
+	shards      int // shard count recorded in the snapshot metadata (0 = unsharded)
 
 	// Snapshot GC observability: finalizer-driven counters of scorer
 	// generations still reachable (the current one plus any pinned by
@@ -258,7 +258,7 @@ func (s *Store) initWritePath() {
 }
 
 // Shards reports the shard count the store records in its snapshot
-// metadata (0 = unsharded/legacy). For a durable store reopened from
+// metadata (0 = unsharded). For a durable store reopened from
 // disk this is the persisted layout, which wins over the opener's
 // configuration so a dataset keeps its sharding across restarts.
 func (s *Store) Shards() int { return s.shards }

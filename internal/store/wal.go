@@ -151,7 +151,7 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	var segs []segmentInfo
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
+		if e.IsDir() || !isSegmentName(name) {
 			continue
 		}
 		info, err := e.Info()
@@ -162,6 +162,11 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].path < segs[j].path })
 	return segs, nil
+}
+
+// isSegmentName reports whether a file name is a WAL segment's.
+func isSegmentName(name string) bool {
+	return strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg")
 }
 
 // scanSegment iterates the complete, checksummed records of one segment,

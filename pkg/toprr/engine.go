@@ -393,7 +393,7 @@ func (e *Engine) problem(snap Snapshot, q Query) (Problem, error) {
 // run with the engine's shard count, fan out over the channel scheduler
 // with one worker per shard unless the query pins its own worker count,
 // and assemble through the per-shard constraint-intersection merge
-// stage unless the query names its own assembler.
+// stage.
 func (e *Engine) options(q Query) Options {
 	opt := e.defaults
 	if q.Options != nil {
@@ -415,9 +415,6 @@ func (e *Engine) options(q Query) Options {
 			if procs := runtime.GOMAXPROCS(0); opt.Workers > procs {
 				opt.Workers = procs
 			}
-		}
-		if opt.Assembler == nil {
-			opt.Assembler = core.ParallelClipAssembler{Shards: e.shards}
 		}
 	}
 	return opt

@@ -1,12 +1,14 @@
 package toprr
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -478,4 +480,71 @@ func TestRegistryStateVisibleToStore(t *testing.T) {
 	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
 		t.Fatalf("DiscoverDatasets = %v", names)
 	}
+}
+
+// TestRegistryRefusesFlatRoot: a durable registry over a root that
+// holds one store's files directly (snapshots and WAL under the root
+// itself, not under <root>/<dataset>/) fails to open. The refusal names
+// a store file and the directory to move it into, and it leaves the
+// root exactly as it found it.
+func TestRegistryRefusesFlatRoot(t *testing.T) {
+	root := t.TempDir()
+	flat, err := store.Open(store.PersistConfig{Dir: root}, tenantPts(1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := flat.Apply([]Op{Insert(vec.Of(0.5, 0.5, 0.5))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, root)
+
+	r, err := NewRegistry(WithRegistryRoot(root))
+	if err == nil {
+		r.Close()
+		t.Fatal("NewRegistry opened a root holding store files directly")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "snap-") && !strings.Contains(msg, "wal-") {
+		t.Errorf("refusal %q names no store file", msg)
+	}
+	if !strings.Contains(msg, filepath.Join(root, "default")) {
+		t.Errorf("refusal %q does not say where the files belong", msg)
+	}
+	if _, err := os.Stat(filepath.Join(root, "default")); !os.IsNotExist(err) {
+		t.Fatalf("refused open created <root>/default (stat: %v)", err)
+	}
+	after := readTree(t, root)
+	if len(after) != len(before) {
+		t.Fatalf("root holds %d files after the refusal, %d before", len(after), len(before))
+	}
+	for name, data := range before {
+		if got, ok := after[name]; !ok || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed by the refused open", name)
+		}
+	}
+}
+
+// readTree maps every file under root (by relative path) to its bytes.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		files[rel] = data
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

@@ -33,13 +33,9 @@ type (
 	// MarketImpactResult is the outcome of the budgeted market-impact
 	// search.
 	MarketImpactResult = core.MarketImpactResult
-	// Prefilter is the candidate-filtering pipeline stage.
-	Prefilter = core.Prefilter
-	// Assembler is the oR-assembly pipeline stage.
+	// Assembler is the buffered oR-assembly stage, for replaying a
+	// solve's Vall.
 	Assembler = core.Assembler
-	// Traversal selects the region scheduling order of the partition
-	// stage.
-	Traversal = core.Traversal
 )
 
 // The three TopRR algorithms of the paper.
@@ -58,8 +54,8 @@ type ShardStat = core.ShardStat
 
 // ParallelClipAssembler is the sharded merge stage: per-shard
 // constraint chunks clipped concurrently, then intersected into the
-// final region. Sharded engines install it by default; set it
-// explicitly to use the sharded merge with package-level Solve.
+// final region. Every solve with Options.Shards > 1 assembles through
+// it.
 type ParallelClipAssembler = core.ParallelClipAssembler
 
 // Versioned-store vocabulary, re-exported so callers never import
@@ -119,15 +115,6 @@ func ValidateDatasetName(name string) error { return store.ValidateDatasetName(n
 // the request) from a server-side failure to store a good one.
 func CheckDataset(pts []vec.Vector) error { return store.CheckDataset(pts) }
 
-// MigrateLegacyLayout upgrades a pre-tenancy data directory (WAL and
-// snapshots directly under root, as a single-dataset engine wrote them)
-// into the registry layout by moving its files into <root>/<name>/. It
-// reports whether a migration happened; a root already in registry
-// layout is left untouched.
-func MigrateLegacyLayout(root, name string) (bool, error) {
-	return store.MigrateLegacyLayout(root, name)
-}
-
 // ErrClosed is returned by Engine.Apply after Engine.Close.
 var ErrClosed = store.ErrClosed
 
@@ -147,25 +134,9 @@ func Delete(i int) Op { return store.Delete(i) }
 // product).
 func Update(i int, p vec.Vector) Op { return store.Update(i, p) }
 
-// Region traversal orders for Options.Traversal.
-const (
-	DepthFirst    = core.DepthFirst
-	BreadthFirst  = core.BreadthFirst
-	PriorityOrder = core.PriorityOrder
-)
-
-// Pipeline stage strategies for Options.Prefilter.
-type (
-	// SkybandPrefilter is the default r-skyband candidate filter.
-	SkybandPrefilter = core.SkybandPrefilter
-	// UTKPrefilter computes the minimal candidate set via kIPR
-	// partitioning (slower, smallest |D'|).
-	UTKPrefilter = core.UTKPrefilter
-	// NoPrefilter keeps every option active.
-	NoPrefilter = core.NoPrefilter
-	// ClipAssembler is the default incremental-clipping assembler.
-	ClipAssembler = core.ClipAssembler
-)
+// ClipAssembler is the sequential incremental-clipping assembler, the
+// fold every unsharded solve runs.
+type ClipAssembler = core.ClipAssembler
 
 // NewProblem assembles a TopRR instance over the given options.
 func NewProblem(pts []vec.Vector, k int, wr *geom.Polytope) Problem {
