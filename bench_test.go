@@ -2,8 +2,8 @@
 // testing.B benchmark per table and figure of the paper's evaluation
 // (wrapping the drivers in internal/bench at a reduced scale so the full
 // suite finishes in minutes), plus micro-benchmarks of the hot
-// operations and ablation benchmarks for the design choices DESIGN.md
-// calls out.
+// operations and ablation benchmarks that switch off one design choice
+// at a time (the paper's lemmas, the k-switch, the top-k cache).
 //
 // For paper-scale numbers, run cmd/benchrunner with -scale 1 -queries 50.
 package toprr_test
@@ -111,7 +111,8 @@ func BenchmarkSolveTASStarNoKSwitch(b *testing.B) {
 	benchAlgorithm(b, core.Options{Alg: core.TASStar, DisableKSwitch: true})
 }
 
-// Design-choice ablation from DESIGN.md: the per-vertex top-k cache.
+// Design-choice ablation: the per-vertex top-k cache, which is not one
+// of the paper's lemmas but this implementation's own memoization.
 // Splitting reuses parent vertices heavily, so pass-through mode shows
 // what the memoization buys.
 func BenchmarkSolveTASStarNoTopKCache(b *testing.B) {

@@ -1,7 +1,7 @@
 // Command benchrunner regenerates the tables and figures of the paper's
 // evaluation (Section 6). Each experiment prints rows mirroring the
-// series the paper plots; see EXPERIMENTS.md for the paper-vs-measured
-// comparison. Alongside the human-readable tables, each experiment
+// series the paper plots; -list catalogues them, and README.md's
+// "Running things" section shows typical runs. Alongside the human-readable tables, each experiment
 // writes a machine-readable BENCH_<id>.json (wall time, regions
 // processed, LP/QP call counts, and the table cells) so the performance
 // trajectory can be tracked across changes.
@@ -32,10 +32,10 @@ import (
 // record is the machine-readable result of one experiment run.
 // AllocBytes and Mallocs are runtime.MemStats deltas (TotalAlloc and
 // Mallocs, both monotone) across the run, so the memory trajectory is
-// tracked next to the wall-clock one and can be gated by -compare.
-// GoVersion, GOMAXPROCS and Shards pin the environment the record was
-// captured under, so trajectories from different toolchains or core
-// counts are not confused for code regressions.
+// tracked next to the wall-clock one. GoVersion and GOMAXPROCS pin the
+// environment the record was captured under, so trajectories from
+// different toolchains or core counts are not confused for code
+// regressions.
 type record struct {
 	ID               string    `json:"id"`
 	Caption          string    `json:"caption"`
@@ -43,7 +43,6 @@ type record struct {
 	Queries          int       `json:"queries"`
 	GoVersion        string    `json:"go_version"`
 	GOMAXPROCS       int       `json:"gomaxprocs"`
-	Shards           int       `json:"shards"`
 	WallSeconds      float64   `json:"wall_seconds"`
 	RegionsProcessed int64     `json:"regions_processed"`
 	LPCalls          int64     `json:"lp_calls"`
@@ -88,7 +87,6 @@ func run() int {
 		budget  = flag.Int("maxregions", bench.DefaultScale.MaxRegions, "per-query recursion budget (0 = solver default)")
 		timeout = flag.Duration("timeout", bench.DefaultScale.Timeout, "per-query wall-clock budget (0 = unlimited)")
 		jsonDir = flag.String("jsondir", ".", "directory for BENCH_<id>.json records ('' = disable)")
-		compare = flag.String("compare", "", "baseline JSON (e.g. bench/BASELINE.json) to diff the run against; >20% regression on a gated metric exits nonzero")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
 	)
@@ -148,7 +146,6 @@ func run() int {
 	}
 
 	fmt.Printf("# TopRR experiment runner — scale=%.3g queries=%d timeout=%v\n\n", s.N, s.Queries, s.Timeout)
-	var records []record
 	for _, e := range selected {
 		start := time.Now()
 		before := toprr.ReadCounters()
@@ -173,7 +170,6 @@ func run() int {
 			Queries:          s.Queries,
 			GoVersion:        runtime.Version(),
 			GOMAXPROCS:       runtime.GOMAXPROCS(0),
-			Shards:           toprr.DefaultShards(),
 			WallSeconds:      wall.Seconds(),
 			RegionsProcessed: delta.RegionsProcessed,
 			LPCalls:          delta.LPSolves,
@@ -184,19 +180,11 @@ func run() int {
 		for _, t := range tables {
 			r.Tables = append(r.Tables, tableJS{ID: t.ID, Caption: t.Caption, Header: t.Header, Rows: t.Rows})
 		}
-		records = append(records, r)
 		if *jsonDir != "" {
 			if err := writeRecord(*jsonDir, r); err != nil {
 				fmt.Fprintf(os.Stderr, "benchrunner: writing JSON record: %v\n", err)
 				return 1
 			}
-		}
-	}
-
-	if *compare != "" {
-		if err := compareAgainstBaseline(*compare, records, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			return 1
 		}
 	}
 	return 0

@@ -4,8 +4,8 @@
 // cmd/benchrunner prints them, and the repository-root benchmarks wrap
 // them in testing.B form.
 //
-// Absolute runtimes differ from the paper's testbed, so EXPERIMENTS.md
-// compares shapes (orderings, growth trends, crossovers) rather than
+// Absolute runtimes differ from the paper's testbed, so read the tables
+// for shapes (orderings, growth trends, crossovers) rather than
 // numbers. The Scale knob shrinks dataset sizes and query counts
 // uniformly so the full suite can run in minutes; Scale = 1 reproduces
 // the paper's parameter grid exactly.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -124,8 +123,8 @@ func TestScaleN(t *testing.T) {
 
 func TestFindAndAll(t *testing.T) {
 	all := All()
-	if len(all) != 22 {
-		t.Fatalf("expected 22 experiments, got %d", len(all))
+	if len(all) != 17 {
+		t.Fatalf("expected 17 experiments, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -211,34 +210,5 @@ func TestFmtHelpers(t *testing.T) {
 	}
 	if got := fmtF(3.14159); got != "3.1" {
 		t.Errorf("fmtF = %q", got)
-	}
-}
-
-func TestPatchExperimentInvariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment drivers take seconds")
-	}
-	// Tiny scale clamps to the 1000-point floor; the ratio floor must
-	// hold even there (the smoke-scale CI run has far more headroom).
-	tables := Patch(Scale{N: 0.001, Queries: 1})
-	if len(tables) != 1 || len(tables[0].Rows) != len(PatchShardGrid) {
-		t.Fatalf("patch experiment shape: %+v", tables)
-	}
-	for _, row := range tables[0].Rows {
-		var shards, entries, patchScored, coldScored, drops int
-		var ratio float64
-		if _, err := fmt.Sscanf(strings.Join(row, " "), "%d %d %d %d %f %d",
-			&shards, &entries, &patchScored, &coldScored, &ratio, &drops); err != nil {
-			t.Fatalf("unparseable row %v: %v", row, err)
-		}
-		if entries == 0 || patchScored == 0 {
-			t.Errorf("shards=%d: no memo entries exercised: %v", shards, row)
-		}
-		if ratio < 5 {
-			t.Errorf("shards=%d: scored ratio %.1f below the 5x floor", shards, ratio)
-		}
-		if drops != 0 {
-			t.Errorf("shards=%d: untouched insert dropped %d entries", shards, drops)
-		}
 	}
 }

@@ -59,11 +59,6 @@ func All() []Experiment {
 		{"fig12", "Lemma 5 pruning power (|D'|)", Fig12},
 		{"fig13", "Lemma 7 effect on |Vall|", Fig13},
 		{"fig14", "k-switch effect on |Vall|", Fig14},
-		{"shards", "Sharded solve plane scaling (S=1/2/4/8)", ShardScaling},
-		{"alloc", "Hot-path allocation profile (ns/op, B/op, allocs/op)", Alloc},
-		{"patch", "Patch-on-insert vs drop-recompute (options scored to re-warm)", Patch},
-		{"watch", "Standing queries: events delivered vs solves avoided", Watch},
-		{"sketch", "Sketch gate and approximate fast path (certified skips, ns/op)", Sketch},
 	}
 }
 

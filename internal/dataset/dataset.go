@@ -6,8 +6,9 @@
 //
 // The simulated datasets match the originals' cardinality and
 // dimensionality exactly and reproduce the correlation character the
-// paper reports for them (Table 6), which is what governs TopRR cost.
-// See DESIGN.md for the substitution rationale.
+// paper reports for them (Table 6), which is what governs TopRR cost:
+// TopRR's work depends on how options trade off against each other, not
+// on their provenance, so a matched stand-in exercises the same paths.
 package dataset
 
 import (

@@ -10,9 +10,11 @@ package topk
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"toprr/internal/dataset"
 	"toprr/internal/vec"
 )
 
@@ -377,5 +379,138 @@ func TestMaybeChangedFallbackHazard(t *testing.T) {
 	}
 	if !sum.MaybeChanged() {
 		t.Fatal("fallback summary reports !MaybeChanged: suppression would miss the dropped memos")
+	}
+}
+
+// economyScored replays the vertices against the registry's current
+// whole-dataset (k, nil) cache and returns the options scored to serve
+// them, zero when every lookup hits, with each answer's order key.
+// Sharded caches attribute scoring through a ShardAccum; an unsharded
+// miss rescores the whole dataset.
+func economyScored(t *testing.T, reg *Registry, ws []vec.Vector, k, shards, n int) (scored int, keys []string) {
+	t.Helper()
+	c := reg.Get(k, nil)
+	keys = make([]string, len(ws))
+	if shards == 1 {
+		for i, w := range ws {
+			r, hit := c.Lookup(w)
+			if !hit {
+				scored += n
+			}
+			keys[i] = r.OrderKey()
+		}
+		return scored, keys
+	}
+	acc := NewShardAccum(shards)
+	for i, w := range ws {
+		r, _, err := c.LookupCtx(context.Background(), w, acc)
+		if err != nil {
+			t.Fatalf("lookup: %v", err)
+		}
+		keys[i] = r.OrderKey()
+	}
+	for i := range acc.Scored {
+		scored += int(acc.Scored[i].Load())
+	}
+	return scored, keys
+}
+
+// TestPatchInsertEconomy: two identically warmed registries over IND
+// n=20000 d=4 seed 7 (32 memoized vertices, k=10) take the same four
+// single inserts, one through AdvanceInsert (splice repair) and one
+// through Advance (drop). Re-warming must give the same rankings on both
+// sides, and the patched side must score at most 192 options (advance
+// splices plus re-warm misses; 128 when the gate was pinned) and at
+// least 5x fewer than the drop side. A further insert at the origin,
+// which no memoized top-k ranks, must patch nothing and drop nothing.
+func TestPatchInsertEconomy(t *testing.T) {
+	const (
+		k          = 10
+		vertices   = 32
+		inserts    = 4
+		maxScored  = 192
+		ratioFloor = 5
+	)
+	if testing.Short() {
+		t.Skip("re-warms four 20000-option registries")
+	}
+	d := 4
+	base := dataset.Generate(dataset.Independent, 20000, d, 7).Pts
+	wrng := rand.New(rand.NewSource(71))
+	ws := make([]vec.Vector, vertices)
+	for i := range ws {
+		ws[i] = patchOracleVertex(wrng, d)
+	}
+	insRng := rand.New(rand.NewSource(72))
+
+	for _, shards := range []int{1, 2, 4, 8} {
+		insSeed := insRng.Int63()
+		t.Run(fmt.Sprintf("S%d", shards), func(t *testing.T) {
+			sc0 := NewScorerAt(base, 1)
+			regPatch := NewShardedRegistry(sc0, shards)
+			regCold := NewShardedRegistry(sc0, shards)
+			for _, reg := range []*Registry{regPatch, regCold} {
+				c := reg.Get(k, nil)
+				for _, w := range ws {
+					c.Get(w)
+				}
+			}
+
+			// Each examined entry scores the one inserted option, so the
+			// patch side's advance work is PatchSummary.Entries per insert.
+			pts := base
+			patchScored := 0
+			rng := rand.New(rand.NewSource(insSeed))
+			for b := 0; b < inserts; b++ {
+				p := vec.New(d)
+				for j := range p {
+					p[j] = rng.Float64()
+				}
+				pts = append(pts[:len(pts):len(pts)], p)
+				scn := NewScorerAt(pts, uint64(2+b))
+				slot := []int{len(pts) - 1}
+				sum := regPatch.AdvanceInsert(scn, slot)
+				if sum.Fallback {
+					t.Fatal("patch advance fell back to drop")
+				}
+				patchScored += sum.Entries * len(slot)
+				regCold.Advance(scn, slot)
+			}
+			rewarm, patchKeys := economyScored(t, regPatch, ws, k, shards, len(pts))
+			patchScored += rewarm
+			coldScored, coldKeys := economyScored(t, regCold, ws, k, shards, len(pts))
+			for i := range patchKeys {
+				if patchKeys[i] != coldKeys[i] {
+					t.Fatalf("vertex %d: patched and recomputed rankings diverge", i)
+				}
+			}
+			t.Logf("options scored to re-warm: patch %d, cold %d", patchScored, coldScored)
+			if patchScored == 0 {
+				t.Fatal("no memo entries exercised")
+			}
+			if patchScored > maxScored {
+				t.Errorf("patch side scored %d options, limit %d", patchScored, maxScored)
+			}
+			if ratio := float64(coldScored) / float64(patchScored); ratio < ratioFloor {
+				t.Errorf("scored ratio %.1f (cold %d / patch %d) below the %dx floor", ratio, coldScored, patchScored, ratioFloor)
+			}
+
+			evBefore := regPatch.Evictions()
+			pts = append(pts[:len(pts):len(pts)], vec.New(d))
+			sum := regPatch.AdvanceInsert(NewScorerAt(pts, 2+inserts), []int{len(pts) - 1})
+			if sum.Entries == 0 {
+				t.Error("untouched insert examined no entries")
+			}
+			if sum.Changed() {
+				t.Error("untouched insert patched an entry")
+			}
+			drops := sum.MergedDropped + regPatch.Evictions() - evBefore
+			if again, _ := economyScored(t, regPatch, ws, k, shards, len(pts)); again != 0 {
+				drops += again
+			}
+			if drops != 0 {
+				t.Errorf("untouched insert dropped %d entries", drops)
+			}
+		})
 	}
 }

@@ -123,12 +123,6 @@ func WithShards(n int) EngineOption {
 	return func(e *Engine) { e.shards = n }
 }
 
-// DefaultShards reports the shard count an engine built without
-// WithShards (or with WithShards(0)) uses on this machine. Exposed so
-// tooling that records benchmark environments (cmd/benchrunner) can
-// stamp the effective shard count without constructing an engine.
-func DefaultShards() int { return defaultShards() }
-
 // defaultShards derives the GOMAXPROCS-based shard count used when
 // WithShards is absent or zero.
 func defaultShards() int {

@@ -205,71 +205,129 @@ func TestWatchNotificationOracle(t *testing.T) {
 	}
 }
 
-// TestWatchSuppressionEconomy pins the acceptance criterion: a
+// TestWatchSuppressionEconomy pins the notification economy: a
 // dominated-insert stream produces zero notifications and zero
-// re-solves, and a cracking insert then notifies within one debounce
-// window.
+// re-solves, and a cracking stream then reaches every subscription
+// within one debounce window. The sharded rows carry three
+// subscriptions through 100 dominated and 5 cracking inserts, and bound
+// the cracking stream's re-solves at 67 (3 when the bound was pinned).
 func TestWatchSuppressionEconomy(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	ctx := context.Background()
-	d := 3
-	eng := toprr.NewEngine(randomMarket(rng, 150, d))
-	defer eng.Close()
+	for _, tc := range []struct {
+		name                string
+		shards              int // 0 = engine default
+		n, d, k, subs       int
+		dominated, cracking int
+		debounce            time.Duration
+		query               func(rng *rand.Rand, d, k int) toprr.Query
+	}{
+		{name: "default", n: 150, d: 3, k: 3, subs: 1, dominated: 25, cracking: 1,
+			debounce: 20 * time.Millisecond, query: wideQuery},
+		{name: "S1", shards: 1, n: 5000, d: 4, k: 10, subs: 3, dominated: 100, cracking: 5,
+			debounce: -1, query: randomQuery},
+		{name: "S4", shards: 4, n: 5000, d: 4, k: 10, subs: 3, dominated: 100, cracking: 5,
+			debounce: -1, query: randomQuery},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(97))
+			ctx := context.Background()
+			d := tc.d
+			eng := toprr.NewEngine(randomMarket(rng, tc.n, d), toprr.WithShards(tc.shards))
+			defer eng.Close()
 
-	const debounce = 20 * time.Millisecond
-	q := wideQuery(rng, d, 3)
-	sub, err := eng.Watch(q.K, q.WR, toprr.WatchOptions{Debounce: debounce})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if evs := drain(sub); len(evs) != 1 || !evs[0].Initial {
-		t.Fatalf("initial delivery = %+v", evs)
-	}
-	base := eng.WatchStats()
+			subs := make([]*toprr.Subscription, tc.subs)
+			for i := range subs {
+				q := tc.query(rng, d, tc.k)
+				sub, err := eng.Watch(q.K, q.WR, toprr.WatchOptions{Debounce: tc.debounce})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sub.Close()
+				if evs := drain(sub); len(evs) != 1 || !evs[0].Initial {
+					t.Fatalf("sub %d: initial delivery = %+v", i, evs)
+				}
+				subs[i] = sub
+			}
+			base := eng.WatchStats()
 
-	// Dominated inserts: options at the origin can enter no top-k, so
-	// every batch must be suppressed — zero notifications, zero solves.
-	for i := 0; i < 25; i++ {
-		if _, err := eng.Apply(ctx, []toprr.Op{toprr.Insert(vec.New(d))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	settle(t, eng)
-	st := eng.WatchStats()
-	if got := st.Suppressed - base.Suppressed; got != 25 {
-		t.Errorf("Suppressed = %d, want 25", got)
-	}
-	if st.Evaluations != base.Evaluations {
-		t.Errorf("dominated stream triggered %d re-solves, want 0", st.Evaluations-base.Evaluations)
-	}
-	if st.Signals != base.Signals {
-		t.Errorf("dominated stream left %d signals unsuppressed", st.Signals-base.Signals)
-	}
-	if evs := drain(sub); len(evs) != 0 {
-		t.Errorf("dominated stream delivered %d events, want 0", len(evs))
-	}
+			// Dominated inserts: options at the origin can enter no top-k,
+			// so every batch must be suppressed — zero notifications, zero
+			// solves.
+			for i := 0; i < tc.dominated; i++ {
+				if _, err := eng.Apply(ctx, []toprr.Op{toprr.Insert(vec.New(d))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			settle(t, eng)
+			st := eng.WatchStats()
+			if got := st.Suppressed - base.Suppressed; got != int64(tc.dominated) {
+				t.Errorf("Suppressed = %d, want %d", got, tc.dominated)
+			}
+			if st.Evaluations != base.Evaluations {
+				t.Errorf("dominated stream triggered %d re-solves, want 0", st.Evaluations-base.Evaluations)
+			}
+			if st.Signals != base.Signals {
+				t.Errorf("dominated stream left %d signals unsuppressed", st.Signals-base.Signals)
+			}
+			for i, sub := range subs {
+				if evs := drain(sub); len(evs) != 0 {
+					t.Errorf("sub %d: dominated stream delivered %d events, want 0", i, len(evs))
+				}
+			}
 
-	// A corner-dominant insert cracks the memoized top-k everywhere: the
-	// subscription must hear about it within one debounce window (plus
-	// solve time and scheduling slack).
-	start := time.Now()
-	if _, err := eng.Apply(ctx, []toprr.Op{toprr.Insert(vec.Of(0.999, 0.998, 0.997))}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-sub.Updates():
-		if ev.Err != nil {
-			t.Fatalf("cracking insert delivered error: %v", ev.Err)
-		}
-		if elapsed := time.Since(start); elapsed < debounce/2 {
-			t.Logf("note: event after %v (debounce %v)", elapsed, debounce)
-		}
-		if ev.Result == nil || ev.Generation != eng.Generation() {
-			t.Fatalf("cracking event = %+v", ev)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cracking insert produced no event within 10s (debounce 20ms)")
+			// Corner-dominant inserts, each just below the last, crack the
+			// memoized top-k everywhere: every subscription must hear
+			// about it within one debounce window (plus solve time and
+			// scheduling slack).
+			base = st
+			start := time.Now()
+			for b := 0; b < tc.cracking; b++ {
+				p := vec.New(d)
+				for j := range p {
+					p[j] = 0.999 - 0.002*float64(b) - 0.001*float64(j)
+				}
+				if _, err := eng.Apply(ctx, []toprr.Op{toprr.Insert(p)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := make([]toprr.RegionEvent, len(subs))
+			for i, sub := range subs {
+				select {
+				case ev := <-sub.Updates():
+					if ev.Err != nil {
+						t.Fatalf("sub %d: cracking insert delivered error: %v", i, ev.Err)
+					}
+					if elapsed := time.Since(start); elapsed < tc.debounce/2 {
+						t.Logf("note: event after %v (debounce %v)", elapsed, tc.debounce)
+					}
+					if ev.Result == nil {
+						t.Fatalf("sub %d: cracking event = %+v", i, ev)
+					}
+					last[i] = ev
+				case <-time.After(10 * time.Second):
+					t.Fatalf("sub %d: cracking stream produced no event within 10s (debounce %v)", i, tc.debounce)
+				}
+			}
+			settle(t, eng)
+			for i, sub := range subs {
+				for _, ev := range drain(sub) {
+					if ev.Err != nil || ev.Result == nil {
+						t.Fatalf("sub %d: cracking event = %+v", i, ev)
+					}
+					last[i] = ev
+				}
+				if last[i].Generation != eng.Generation() {
+					t.Fatalf("sub %d: last event at generation %d, engine at %d", i, last[i].Generation, eng.Generation())
+				}
+			}
+			st = eng.WatchStats()
+			t.Logf("cracking stream: %d re-solves, %d events", st.Evaluations-base.Evaluations, st.Delivered-base.Delivered)
+			if evals := st.Evaluations - base.Evaluations; evals > 67 {
+				t.Errorf("cracking stream ran %d re-solves, limit 67", evals)
+			}
+			if st.Delivered == base.Delivered {
+				t.Error("cracking stream delivered no events")
+			}
+		})
 	}
 }
 
