@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -81,5 +82,23 @@ func TestStatsExposeSketchCounters(t *testing.T) {
 	}
 	if out.Totals.SketchEntries != ds.SketchEntries {
 		t.Errorf("totals sketch_entries %d != dataset %d", out.Totals.SketchEntries, ds.SketchEntries)
+	}
+}
+
+// TestApproxSolveSimplexEdgeBox: PrefBox's simplex clip can lerp a
+// vertex whose components sum to 1 plus an ulp; the approximate route
+// must answer such a box like the exact route does, not fail with 500.
+func TestApproxSolveSimplexEdgeBox(t *testing.T) {
+	ts, _ := testServer(t, 80, time.Minute)
+	q := queryJSON{K: 3,
+		Lo: []float64{0.13774415321799444, 0.5699624443012762},
+		Hi: []float64{0.15172981753626913, 0.8497738836983805}}
+	for _, url := range []string{"/v1/datasets/default/solve", "/v1/datasets/default/solve?approx=1"} {
+		resp := postJSON(t, ts.URL+url, q)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status = %d (%s), want 200", url, resp.StatusCode, body)
+		}
 	}
 }

@@ -198,15 +198,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "toprrd: registry root %s holds %d dataset(s); default at generation %d (wal %d bytes in %d segment(s), base snapshot at generation %d)\n",
 			*dataDir, len(reg.List()), engine.Generation(), ps.WALBytes, ps.WALSegments, ps.LastCompaction)
 	}
-	api := newServer(reg, *reqTimeout, *maxBody)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	// Watch streams never end on their own; close them out when the
-	// daemon drains so Shutdown doesn't wait the full budget on them.
-	srv.RegisterOnShutdown(api.drainWatches)
+	srv := newHTTPServer(*addr, newServer(reg, *reqTimeout, *maxBody))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -224,6 +216,34 @@ func main() {
 		fatal(fmt.Errorf("close: %w", err))
 	}
 	fmt.Fprintln(os.Stderr, "toprrd: drained, bye")
+}
+
+// Connection timeouts of the daemon's http.Server. A response may take
+// the per-request deadline plus writeTimeoutMargin to write, so a solve
+// that runs into its deadline still delivers its 504.
+const (
+	readHeaderTimeout  = 5 * time.Second
+	idleTimeout        = 2 * time.Minute
+	writeTimeoutMargin = 10 * time.Second
+)
+
+// newHTTPServer builds the daemon's http.Server around api. The write
+// timeout follows api's per-request deadline and is off when that is 0;
+// watch streams clear it for their own connection.
+func newHTTPServer(addr string, api *server) *http.Server {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           api,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	if api.timeout > 0 {
+		srv.WriteTimeout = api.timeout + writeTimeoutMargin
+	}
+	// Watch streams never end on their own; close them out when the
+	// daemon drains so Shutdown doesn't wait the full budget on them.
+	srv.RegisterOnShutdown(api.drainWatches)
+	return srv
 }
 
 // run serves until the listener fails or ctx is cancelled, then shuts

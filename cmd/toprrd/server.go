@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -228,6 +229,11 @@ func buildQuery(snap toprr.Snapshot, qj queryJSON) (toprr.Query, error) {
 	}
 	if qj.Workers < 0 {
 		return toprr.Query{}, fmt.Errorf("workers=%d must be >= 0", qj.Workers)
+	}
+	for j, lo := range qj.Lo {
+		if hi := qj.Hi[j]; math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) {
+			return toprr.Query{}, fmt.Errorf("lo/hi component %d is not finite (%v, %v)", j, lo, hi)
+		}
 	}
 	wr, err := prefBox(qj.Lo, qj.Hi)
 	if err != nil {
@@ -670,7 +676,6 @@ type datasetStatsJSON struct {
 	Generation     uint64          `json:"generation"`
 	Options        int             `json:"options"`
 	Dim            int             `json:"dim"`
-	Hyperplanes    int             `json:"cache_hyperplanes"`
 	TopKConfigs    int             `json:"cache_topk_configs"`
 	TopKHits       int             `json:"cache_topk_hits"`
 	TopKMisses     int             `json:"cache_topk_misses"`
@@ -705,7 +710,6 @@ type shardStatJSON struct {
 	TopKEntries int `json:"topk_entries"`
 	TopKHits    int `json:"topk_hits"`
 	TopKMisses  int `json:"topk_misses"`
-	Hyperplanes int `json:"hyperplanes"`
 }
 
 func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
@@ -720,7 +724,6 @@ func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
 			TopKEntries: ss.TopKEntries,
 			TopKHits:    ss.TopKHits,
 			TopKMisses:  ss.TopKMisses,
-			Hyperplanes: ss.Hyperplanes,
 		})
 	}
 	return datasetStatsJSON{
@@ -729,7 +732,6 @@ func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
 		Generation:     uint64(ds.Cache.Generation),
 		Options:        ds.Options,
 		Dim:            ds.Dim,
-		Hyperplanes:    ds.Cache.Hyperplanes,
 		TopKConfigs:    ds.Cache.TopKConfigs,
 		TopKHits:       ds.Cache.TopKHits,
 		TopKMisses:     ds.Cache.TopKMisses,
@@ -782,7 +784,6 @@ type statsTotals struct {
 	Datasets       int   `json:"datasets"`
 	OpenDatasets   int   `json:"open_datasets"`
 	Options        int   `json:"options"`
-	Hyperplanes    int   `json:"cache_hyperplanes"`
 	TopKConfigs    int   `json:"cache_topk_configs"`
 	TopKHits       int   `json:"cache_topk_hits"`
 	TopKMisses     int   `json:"cache_topk_misses"`
@@ -819,7 +820,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		totals.OpenDatasets++
 		totals.Options += perDS[i].Options
-		totals.Hyperplanes += perDS[i].Hyperplanes
 		totals.TopKConfigs += perDS[i].TopKConfigs
 		totals.TopKHits += perDS[i].TopKHits
 		totals.TopKMisses += perDS[i].TopKMisses

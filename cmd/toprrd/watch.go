@@ -170,6 +170,9 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request, eng *toprr.
 		return
 	}
 	defer sub.Close()
+	// A stream outlives the server's WriteTimeout by design. Clearing the
+	// deadline fails only on writers that have none to clear.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")

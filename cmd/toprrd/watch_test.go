@@ -331,6 +331,8 @@ func TestWatchEndpointErrors(t *testing.T) {
 		{"unknown dataset 404", http.MethodGet, ts.URL + "/v1/datasets/nope/watch?k=2&lo=0.1,0.1&hi=0.9,0.9", http.StatusNotFound},
 		{"missing k 400", http.MethodGet, ts.URL + "/v1/datasets/default/watch?lo=0.1,0.1&hi=0.9,0.9", http.StatusBadRequest},
 		{"bad lo 400", http.MethodGet, ts.URL + "/v1/datasets/default/watch?k=2&lo=zap&hi=0.9,0.9", http.StatusBadRequest},
+		{"NaN lo 400", http.MethodGet, ts.URL + "/v1/datasets/default/watch?k=3&lo=NaN,0.2&hi=0.3,0.3", http.StatusBadRequest},
+		{"Inf hi 400", http.MethodGet, ts.URL + "/v1/datasets/default/watch?k=3&lo=0.1,0.2&hi=Inf,0.3", http.StatusBadRequest},
 		{"wrong dims 400", http.MethodGet, ts.URL + "/v1/datasets/default/watch?k=2&lo=0.1&hi=0.9", http.StatusBadRequest},
 		{"k too large 400", http.MethodGet, ts.URL + "/v1/datasets/default/watch?k=4000&lo=0.1,0.1&hi=0.9,0.9", http.StatusBadRequest},
 		{"bad debounce 400", http.MethodGet, watchURL(ts.URL, "&debounce=-3s"), http.StatusBadRequest},
@@ -386,5 +388,46 @@ func TestWatchEndpointServerDrain(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(ev.data), &bye); err != nil || bye.Reason == "" {
 		t.Fatalf("bye data %q: %v", ev.data, err)
+	}
+}
+
+// TestWatchOutlivesWriteTimeout: the daemon's http.Server carries a
+// write timeout derived from the request deadline, and a watch stream
+// clears it — an event published after the timeout still arrives.
+func TestWatchOutlivesWriteTimeout(t *testing.T) {
+	reg, eng := testRegistry(t, 120)
+	srv := newHTTPServer("", newServer(reg, time.Minute, 32<<20))
+	if want := time.Minute + writeTimeoutMargin; srv.WriteTimeout != want {
+		t.Fatalf("WriteTimeout = %v, want %v", srv.WriteTimeout, want)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("IdleTimeout/ReadHeaderTimeout = %v/%v", srv.IdleTimeout, srv.ReadHeaderTimeout)
+	}
+	if off := newHTTPServer("", newServer(reg, 0, 32<<20)); off.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout with no request deadline = %v, want 0", off.WriteTimeout)
+	}
+
+	const writeTimeout = 100 * time.Millisecond
+	srv.WriteTimeout = writeTimeout
+	ts := httptest.NewUnstartedServer(srv.Handler)
+	ts.Config = srv
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	st := openStream(t, watchURL(ts.URL, "&debounce=0s"))
+	defer st.close()
+	if ev, ok := st.next(t); !ok || !decodeRegion(t, ev).Initial {
+		t.Fatalf("no initial region event (ok=%v)", ok)
+	}
+	time.Sleep(3 * writeTimeout)
+	if _, err := eng.Apply(context.Background(), []toprr.Op{toprr.Insert(vec.Of(0.99, 0.98, 0.97))}); err != nil {
+		t.Fatal(err)
+	}
+	ev, ok := st.next(t)
+	if !ok {
+		t.Fatal("stream ended at the write timeout")
+	}
+	if rj := decodeRegion(t, ev); rj.Generation != uint64(eng.Generation()) {
+		t.Fatalf("event generation %d, want %d", rj.Generation, eng.Generation())
 	}
 }

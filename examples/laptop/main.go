@@ -36,8 +36,8 @@ func main() {
 		{"business travellers (battery-leaning)", 0.1, 0.2},
 	}
 
-	// One engine serves both clienteles, sharing the dataset's interned
-	// hyperplanes and top-k caches across the queries.
+	// One engine serves both clienteles, sharing the dataset's top-k
+	// cache across the queries.
 	engine := toprr.NewEngine(market.Pts)
 	queries := make([]toprr.Query, len(scenarios))
 	for i, sc := range scenarios {

@@ -85,8 +85,8 @@ func main() {
 	}
 	cs := engine.CacheStats()
 	fmt.Printf("generation %d: %d laptops after upgrade + withdrawal\n", gen, engine.Len())
-	fmt.Printf("  warm caches carried across generations: %d hyperplanes, %d top-k configs, %d evictions\n",
-		cs.Hyperplanes, cs.TopKConfigs, cs.Evictions)
+	fmt.Printf("  warm top-k cache carried across generations: %d configs, %d evictions\n",
+		cs.TopKConfigs, cs.Evictions)
 
 	// The full history is on the op log.
 	fmt.Println("applied-ops log:")

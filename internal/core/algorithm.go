@@ -301,7 +301,7 @@ func (s *solver) trySplit(region *geom.Polytope, cache *topk.Cache, pairs [][2]i
 // so grazing hyperplanes (the common degenerate case) cost O(|V|)
 // instead of a polytope construction.
 func (s *solver) trySplitPair(region *geom.Polytope, cache *topk.Cache, pair [2]int) ([]regionCtx, bool) {
-	hs, ok := s.splitHyperplane(pair[0], pair[1])
+	hs, ok := splitHyperplane(s.prob.Scorer, pair[0], pair[1])
 	if !ok {
 		return nil, false
 	}
@@ -651,27 +651,8 @@ func (s *solver) kSwitchPair(va, vb vec.Vector, ra, rb *topk.Result) ([2]int, bo
 // splitHyperplane builds the preference-space hyperplane
 // wHP(p_i, p_j) = {w : S_w(p_i) = S_w(p_j)} as a halfspace whose >= side
 // is S_w(p_i) >= S_w(p_j). It reports false for (numerically) parallel
-// score functions, which cannot cut any region. When a cross-query
-// cache is supplied, each pair is computed at most once per engine and
-// dataset generation; the cache verifies the solve's pinned scorer on
-// every access, so a solve racing a dataset mutation neither reads nor
-// writes geometry of the wrong generation.
-func (s *solver) splitHyperplane(i, j int) (geom.Halfspace, bool) {
-	c := s.opt.Hyperplanes
-	if c != nil {
-		if e, ok := c.lookupFor(s.prob.Scorer, i, j); ok {
-			return e.hs, e.ok
-		}
-	}
-	hs, ok := computeSplitHyperplane(s.prob.Scorer, i, j)
-	if c != nil {
-		c.storeFor(s.prob.Scorer, i, j, hpEntry{hs: hs, ok: ok})
-	}
-	return hs, ok
-}
-
-// computeSplitHyperplane does the actual wHP(p_i, p_j) construction.
-func computeSplitHyperplane(sc *topk.Scorer, i, j int) (geom.Halfspace, bool) {
+// score functions, which cannot cut any region.
+func splitHyperplane(sc *topk.Scorer, i, j int) (geom.Halfspace, bool) {
 	p, q := sc.Point(i), sc.Point(j)
 	m := sc.PrefDim()
 	a := vec.New(m)

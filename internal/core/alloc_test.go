@@ -1,8 +1,9 @@
 package core
 
-// CI-enforced zero-allocation invariants for the solve hot path (see
-// docs/PERFORMANCE.md): warm hyperplane interning and streaming impact
-// dedup allocate nothing once their tables reach steady state.
+// CI-enforced allocation invariants for the solve hot path (see
+// docs/PERFORMANCE.md): streaming impact dedup allocates nothing once
+// its table reaches steady state, and oR assembly stays within pinned
+// allocation and byte bounds.
 
 import (
 	"runtime"
@@ -10,7 +11,6 @@ import (
 
 	"toprr/internal/dataset"
 	"toprr/internal/race"
-	"toprr/internal/topk"
 	"toprr/internal/vec"
 )
 
@@ -35,72 +35,6 @@ func allocsAndBytesPerRun(runs int, f func()) (allocs, bytes float64) {
 	}
 	runtime.ReadMemStats(&after)
 	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
-func TestAllocsWarmHyperplaneInterning(t *testing.T) {
-	skipUnderRace(t)
-	ds := dataset.Generate(dataset.Independent, 200, 4, 5)
-	scorer := topk.NewScorer(ds.Pts)
-	c := NewShardedHyperplaneCache(scorer, 4)
-	for i := 0; i < 40; i++ {
-		for j := i + 1; j < 40; j++ {
-			hs, ok := computeSplitHyperplane(scorer, i, j)
-			c.storeFor(scorer, i, j, hpEntry{hs: hs, ok: ok})
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 40; i++ {
-			for j := i + 1; j < 40; j++ {
-				if _, ok := c.lookupFor(scorer, i, j); !ok {
-					t.Fatal("missing interned pair")
-				}
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm hyperplane lookups allocate %.1f per run, want 0", allocs)
-	}
-}
-
-func TestAllocsInsertOnlyHyperplaneAdvance(t *testing.T) {
-	skipUnderRace(t)
-	ds := dataset.Generate(dataset.Independent, 200, 4, 5)
-	scorer := topk.NewScorer(ds.Pts)
-	c := NewShardedHyperplaneCache(scorer, 4)
-	for i := 0; i < 40; i++ {
-		for j := i + 1; j < 40; j++ {
-			hs, ok := computeSplitHyperplane(scorer, i, j)
-			c.storeFor(scorer, i, j, hpEntry{hs: hs, ok: ok})
-		}
-	}
-	want := c.Len()
-	// AllocsPerRun invokes the body runs+1 times; pre-build a scorer and
-	// pure-insert dirty list per invocation so the measured path is only
-	// the advance itself.
-	const runs = 50
-	scorers := make([]*topk.Scorer, 0, 2*(runs+2))
-	dirties := make([][]int, 0, 2*(runs+2))
-	pts := ds.Pts
-	for i := 0; i < 2*(runs+2); i++ {
-		pts = append(pts[:len(pts):len(pts)], pts[0])
-		scorers = append(scorers, topk.NewScorer(pts))
-		dirties = append(dirties, []int{len(pts) - 1})
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		// Both entry points must advance a pure insert without allocating:
-		// the classified fast path and the generic path fed insert-only
-		// dirt.
-		c.AdvanceInsert(scorers[next])
-		c.Advance(scorers[next+1], dirties[next+1])
-		next += 2
-	})
-	if allocs != 0 {
-		t.Fatalf("insert-only hyperplane advance allocates %.1f per run, want 0", allocs)
-	}
-	if got := c.Len(); got != want {
-		t.Fatalf("interned pairs after insert advances = %d, want %d", got, want)
-	}
 }
 
 func TestAllocsStreamPushDuplicate(t *testing.T) {

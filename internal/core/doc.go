@@ -24,18 +24,10 @@
 // the impact halfspaces into oR (Theorem 1). The pipeline is fixed, and
 // every entry point honors context cancellation.
 //
-// # Generation pinning and the hyperplane cache
+// # Generation pinning
 //
 // A Problem binds a topk.Scorer — one immutable dataset generation —
 // and the whole solve computes against it; the engine above this
 // package may publish newer generations mid-solve without affecting
-// correctness. The cross-query HyperplaneCache interns splitting
-// hyperplanes wHP(p_i, p_j), which depend only on the option pair. It
-// is generation-aware: lookups and stores name the solve's pinned
-// Scorer and take effect only while that Scorer is the cache's current
-// generation, so a solve pinned to an old generation can neither read
-// nor publish stale geometry. Advance(sc, dirty) invalidates
-// incrementally — exactly the pairs touching a dirty slot are dropped
-// (an insert drops nothing, a delete or update drops only the affected
-// slots' pairs), and everything else carries into the new generation.
+// correctness.
 package core

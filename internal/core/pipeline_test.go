@@ -104,16 +104,15 @@ func TestSolveContextMidFlightCancel(t *testing.T) {
 	}
 }
 
-// TestSharedCachesMatch: solving with engine-style shared caches
-// (hyperplane interning + top-k registry) is an optimization only — the
-// results must be identical to isolated solves, and repeated solves
-// must actually hit the shared state.
+// TestSharedCachesMatch: solving with an engine-style shared top-k
+// registry is an optimization only — the results must be identical to
+// isolated solves, and repeated solves must actually hit the shared
+// state.
 func TestSharedCachesMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	prob := randomProblem(rng, 150, 3, 4)
-	hp := NewHyperplaneCache(prob.Scorer)
 	reg := topk.NewRegistry(prob.Scorer)
-	shared := Options{Alg: TASStar, Hyperplanes: hp, TopKCaches: reg}
+	shared := Options{Alg: TASStar, TopKCaches: reg}
 
 	base, err := Solve(prob, Options{Alg: TASStar})
 	if err != nil {
@@ -123,19 +122,12 @@ func TestSharedCachesMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hp.Len() == 0 && first.Stats.Splits > 0 {
-		t.Error("hyperplane cache not populated by a splitting solve")
-	}
 	if reg.Len() == 0 {
 		t.Error("top-k registry not populated")
 	}
-	hpAfterFirst := hp.Len()
 	second, err := Solve(prob, shared)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if hp.Len() != hpAfterFirst {
-		t.Errorf("identical repeat solve grew the hyperplane cache: %d -> %d", hpAfterFirst, hp.Len())
 	}
 	hits, _ := reg.Stats()
 	if hits == 0 {

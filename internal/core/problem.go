@@ -79,9 +79,9 @@ func PrefBox(lo, hi vec.Vector) *geom.Polytope {
 // Options tunes a Solve call. The Disable* switches exist for the
 // paper's ablation study (Section 6.5) and only affect TAS*.
 //
-// Hyperplanes and TopKCaches accept engine-owned cross-query caches so
-// batches of solves over one dataset amortize geometric and scoring
-// work; both must be bound to the problem's dataset.
+// TopKCaches accepts an engine-owned cross-query top-k registry so
+// batches of solves over one dataset amortize scoring work; it must be
+// bound to the problem's dataset.
 type Options struct {
 	Alg              Algorithm
 	DisableLemma5    bool          // TAS*: skip consistent top-λ pruning (Section 5.1)
@@ -95,8 +95,7 @@ type Options struct {
 	Timeout          time.Duration // wall-clock budget for one solve (0 = unlimited)
 	Seed             int64         // seed for the random pair choices of PAC/TAS
 
-	Hyperplanes *HyperplaneCache // optional cross-query split-hyperplane interning
-	TopKCaches  *topk.Registry   // optional cross-query top-k memoization
+	TopKCaches *topk.Registry // optional cross-query top-k memoization
 
 	// SketchGate accelerates the r-skyband prefilter: when the hook
 	// certifies that every option outside its candidate list can never

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"toprr/internal/geom"
-	"toprr/internal/oamap"
 	"toprr/internal/topk"
 	"toprr/internal/vec"
 )
@@ -102,7 +101,7 @@ type impactEntry struct {
 // goroutine-safe; clipStream serializes access.
 type impactSet struct {
 	scorer *topk.Scorer
-	idx    oamap.Map[int32] // composite hash -> index into list
+	idx    map[uint64]int32 // composite hash -> index into list; made on first add
 	list   []impactEntry
 }
 
@@ -121,13 +120,16 @@ func (s *impactSet) add(iv ImpactVertex) {
 	// is only built when the entry is (re)inserted.
 	key := vec.HashFold(iv.W.Hash(impactQuantum), 1-iv.W.Sum(), impactQuantum)
 	key = vec.HashFold(key, iv.KthScore, impactQuantum)
-	if i, ok := s.idx.Get(key); ok {
+	if i, ok := s.idx[key]; ok {
 		if lexLessStrict(iv.W, s.list[i].w, vallQuantum) {
 			s.list[i] = impactEntry{h: iv.ImpactHalfspace(s.scorer), w: iv.W}
 		}
 		return
 	}
-	s.idx.Put(key, int32(len(s.list)))
+	if s.idx == nil {
+		s.idx = make(map[uint64]int32)
+	}
+	s.idx[key] = int32(len(s.list))
 	s.list = append(s.list, impactEntry{h: iv.ImpactHalfspace(s.scorer), w: iv.W})
 }
 

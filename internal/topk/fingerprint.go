@@ -4,8 +4,8 @@ package topk
 // result region's constraint set, so "did this standing region move?"
 // is answered by comparing two uint64s instead of materializing and
 // diffing the old region. The per-constraint digest reuses the same
-// quantized FNV-1a identity the cache planes key internal/oamap maps
-// with (vec.Hash / vec.HashFold at FingerprintQuantum); constraints then
+// quantized FNV-1a identity the cache planes key their maps with
+// (vec.Hash / vec.HashFold at FingerprintQuantum); constraints then
 // combine commutatively — each per-constraint key passes through a
 // strong 64-bit finalizer before summing and xor-folding — so
 // permutations of the same constraint set fingerprint identically while

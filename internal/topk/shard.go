@@ -465,19 +465,15 @@ func (c *Cache) cloneAdvance(sc *Scorer, assign []uint8, affected map[int]bool) 
 }
 
 // ShardCacheStats is one shard's aggregate cache occupancy, summed by
-// Registry.ShardStats across every interned configuration. The top-k
-// columns are truly shard-owned (each shard memoizes only its own
-// options' partials). Hyperplanes is the occupancy of the hyperplane
-// cache's like-numbered *stripe* — stripes are pair-hash buckets that
-// divide lock contention and budget, not ownership by option shard, so
-// the column reads as "this stripe's share of the interned pairs".
+// Registry.ShardStats across every interned configuration. The columns
+// are truly shard-owned (each shard memoizes only its own options'
+// partials).
 type ShardCacheStats struct {
 	Shard       int
 	TopKEntries int // memoized partials
 	TopKHits    int
 	TopKMisses  int
 	TopKEvicted int
-	Hyperplanes int
 }
 
 // addShardStats folds one sharded cache's per-shard counters into out

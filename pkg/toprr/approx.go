@@ -3,6 +3,7 @@ package toprr
 import (
 	"fmt"
 
+	"toprr/internal/geom"
 	"toprr/internal/topk"
 	"toprr/internal/vec"
 )
@@ -39,7 +40,10 @@ type ImpactQuery struct {
 }
 
 // validatePref checks a reduced preference vector and rank threshold
-// against a snapshot, mirroring RankAt's contract.
+// against a snapshot, mirroring RankAt's contract. The components may
+// sum to 1 + geom.Eps: PrefBox treats points within geom.Eps of the
+// simplex face as on it, so its clipped vertices can overshoot 1 by an
+// ulp.
 func validatePref(snap Snapshot, w vec.Vector, k int) error {
 	if snap.Scorer == nil {
 		return fmt.Errorf("toprr: zero snapshot (use Engine.Snapshot)")
@@ -57,7 +61,7 @@ func validatePref(snap Snapshot, w vec.Vector, k int) error {
 		}
 		sum += wj
 	}
-	if sum > 1 {
+	if sum > 1+geom.Eps {
 		return fmt.Errorf("toprr: preference components sum to %v, want <= 1", sum)
 	}
 	return nil

@@ -5,9 +5,8 @@
 // The package is a stable facade over the internal pipeline
 // (prefilter → partition → assemble). One-shot queries go through
 // Solve; services that answer many queries over the same dataset
-// should build an Engine, which reuses per-dataset state (interned
-// split hyperplanes, memoized top-k results) across queries and
-// batches.
+// should build an Engine, which reuses per-dataset state (memoized
+// top-k results) across queries and batches.
 //
 //	prob := toprr.NewProblem(points, k, toprr.PrefBox(lo, hi))
 //	res, err := toprr.Solve(ctx, prob, toprr.Options{Alg: toprr.TASStar})
@@ -30,27 +29,24 @@
 //
 // # Cache invalidation
 //
-// The engine shares two caches across queries: interned splitting
-// hyperplanes (which depend only on an option pair) and memoized top-k
-// results keyed by (k, candidate-set) configuration. Both are
-// generation-aware and advance incrementally with each Apply: only
-// entries naming a mutated slot are dropped, plus whole-dataset top-k
-// configurations (any op changes dataset membership); the rest of the
-// warm state carries forward, because its options are bit-identical in
-// both generations. Cache accesses verify the solve's pinned
-// generation, so a stale solve can neither read nor publish another
-// generation's geometry. WithCacheLimits bounds both caches;
-// CacheStats reports occupancy and evictions.
+// The engine shares one cache across queries: memoized top-k results
+// keyed by (k, candidate-set) configuration. It is generation-aware and
+// advances incrementally with each Apply: only entries naming a mutated
+// slot are dropped, plus whole-dataset top-k configurations (any op
+// changes dataset membership); the rest of the warm state carries
+// forward, because its options are bit-identical in both generations.
+// Cache accesses verify the solve's pinned generation, so a stale solve
+// can neither read nor publish another generation's results.
+// WithCacheLimits bounds the cache; CacheStats reports occupancy and
+// evictions.
 //
 // # The sharded solve plane
 //
 // An engine's solve plane is sharded (WithShards; default derived from
 // GOMAXPROCS): the option set splits into stable content-hashed
-// shards, each with its own top-k memo (the hyperplane cache likewise
-// stripes its lock and budget S ways, by option pair),
-// and solves fan out with one worker per shard (capped at GOMAXPROCS)
-// over the channel scheduler, assembling through the per-shard
-// constraint-intersection merge stage. Sharded and unsharded solves
+// shards, each with its own top-k memo, and solves fan out with one
+// worker per shard (capped at GOMAXPROCS) over the channel scheduler,
+// assembling through the per-shard constraint-intersection merge stage. Sharded and unsharded solves
 // produce identical regions; sharding buys parallelism without
 // cache-lock contention, per-shard incremental invalidation under
 // mutations (an insert invalidates one shard, not the whole

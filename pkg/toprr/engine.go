@@ -20,27 +20,24 @@ import (
 // and shares it across queries:
 //
 //   - the versioned store (generation-numbered copy-on-write snapshots
-//     of the option set),
-//   - interned splitting hyperplanes wHP(p_i, p_j), which depend only
-//     on the option pair, and
+//     of the option set), and
 //   - memoized top-k results keyed by (k, candidate-set) configuration,
 //     so queries over nearby regions reuse each other's scoring work.
 //
 // Reads and writes are snapshot-isolated: Solve and SolveBatch pin the
 // dataset generation current when they start (or the one given to
 // SolveAt/SolveBatchAt) and never observe a concurrent Apply; the shared
-// caches follow the store generation by generation with incremental
-// invalidation, so a mutation drops only the entries whose options
-// actually changed. An Engine is safe for concurrent use; any mix of
-// Solve, SolveBatch and Apply calls may run from many goroutines at
-// once.
+// top-k cache follows the store generation by generation with
+// incremental invalidation, so a mutation drops only the entries whose
+// options actually changed. An Engine is safe for concurrent use; any
+// mix of Solve, SolveBatch and Apply calls may run from many goroutines
+// at once.
 type Engine struct {
 	store        *store.Store
 	defaults     Options
 	batchWorkers int
 	shards       int                 // shard count of the solve plane (>= 1 after OpenEngine)
 	persist      store.PersistConfig // zero Dir = in-memory engine
-	hyperplanes  *core.HyperplaneCache
 	caches       *topk.Registry
 
 	// Sketch tier (approx.go): per-shard filtered-space-saving sketches
@@ -105,12 +102,10 @@ func WithBatchWorkers(n int) EngineOption {
 // WithShards partitions the engine's solve plane into n shards: the
 // option set splits into n stable subsets (hashed by option contents,
 // so assignments survive swap-delete relocation), each with its own
-// top-k memo — the hyperplane cache likewise stripes its lock and
-// budget n ways, by option pair — and solves fan their work out
-// over the shards — per-vertex evaluations merge exact per-shard
-// partial results, queries default to n parallel workers on the channel
-// scheduler, and the assemble stage intersects per-shard constraint
-// chunks. Sharded and unsharded solves produce identical regions;
+// top-k memo, and solves fan their work out over the shards —
+// per-vertex evaluations merge exact per-shard partial results, queries
+// default to n parallel workers on the channel scheduler, and the
+// assemble stage intersects per-shard constraint chunks. Sharded and unsharded solves produce identical regions;
 // sharding buys parallelism without cache-lock contention, per-shard
 // incremental invalidation under mutations, and per-shard cache
 // budgets.
@@ -212,7 +207,6 @@ func OpenEngine(pts []vec.Vector, opts ...EngineOption) (*Engine, error) {
 		e.shards = n
 	}
 	snap := st.Snapshot()
-	e.hyperplanes = core.NewShardedHyperplaneCache(snap.Scorer, e.shards)
 	e.caches = topk.NewShardedRegistry(snap.Scorer, e.shards)
 	// The sketch tier is rebuilt from the snapshot on every open — an
 	// evicted and reopened tenant re-derives its per-shard sketches here
@@ -302,11 +296,10 @@ func (e *Engine) Log(since uint64) []AppliedOp { return e.store.Log(since) }
 // unaffected — they keep their pinned snapshot — and the engine's shared
 // caches advance incrementally. The store classifies each batch
 // (store.Delta.Kind) and the engine picks the repair strategy per
-// delta: a pure-insert batch takes the patch path — interned
-// hyperplanes all survive (no existing pair changed), and memoized
-// top-k entries are patched by scoring only the inserted options at
-// each memoized vertex — while a batch that deletes or updates option p
-// drops only the hyperplanes and, on a sharded engine, only the
+// delta: a pure-insert batch takes the patch path — memoized top-k
+// entries are patched by scoring only the inserted options at each
+// memoized vertex — while a batch that deletes or updates option p
+// drops only the entries involving p and, on a sharded engine, only the
 // per-shard top-k state of the shards owning p — not the warm state of
 // the rest of the dataset. On error the dataset and the returned
 // generation are unchanged.
@@ -333,7 +326,6 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (Generation, error) {
 		}
 		suppress := false
 		if delta.Kind == store.DeltaInsertOnly {
-			e.hyperplanes.AdvanceInsert(snap.Scorer)
 			sum := e.caches.AdvanceInsert(snap.Scorer, delta.Inserted)
 			// The conservative region-delta signal: only a summary that
 			// patched nothing, dropped nothing and honored the pure-insert
@@ -341,7 +333,6 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (Generation, error) {
 			suppress = !sum.MaybeChanged()
 			e.sketches.AdvanceInsert(snap.Scorer, delta.Inserted)
 		} else {
-			e.hyperplanes.Advance(snap.Scorer, delta.Dirty)
 			e.caches.Advance(snap.Scorer, delta.Dirty)
 			e.sketches.Advance(snap.Scorer, delta.ShardsTouched)
 		}
@@ -382,7 +373,7 @@ func (e *Engine) problem(snap Snapshot, q Query) (Problem, error) {
 }
 
 // options resolves a query's options and injects the engine's shared
-// caches (which themselves verify the solve's pinned generation on
+// top-k cache (which itself verifies the solve's pinned generation on
 // every access) and the sharded solve plane: solves on a sharded engine
 // run with the engine's shard count, fan out over the channel scheduler
 // with one worker per shard unless the query pins its own worker count,
@@ -393,7 +384,6 @@ func (e *Engine) options(q Query) Options {
 	if q.Options != nil {
 		opt = *q.Options
 	}
-	opt.Hyperplanes = e.hyperplanes
 	opt.TopKCaches = e.caches
 	opt.Shards = e.shards
 	if !opt.DisableSketchGate {
@@ -536,10 +526,10 @@ dispatch:
 }
 
 // CacheStats reports the engine's cross-query cache occupancy: interned
-// split hyperplanes, interned top-k cache configurations, the cumulative
-// top-k hit/miss totals across them, and the entries evicted so far
-// (dropped by generation advances or refused at a configured cap). The
-// snapshot is taken at the current generation.
+// top-k cache configurations, the cumulative top-k hit/miss totals
+// across them, and the entries evicted so far (dropped by generation
+// advances or refused at a configured cap). The snapshot is taken at
+// the current generation.
 //
 // LiveGenerations and RetainedSnapshotBytes observe the store's
 // copy-on-write snapshots: how many generations are still reachable
@@ -550,7 +540,6 @@ dispatch:
 // drops by one GC cycle.
 type CacheStats struct {
 	Generation  Generation
-	Hyperplanes int
 	TopKConfigs int
 	// Patch-on-insert counters (cumulative): PatchedEntries is memoized
 	// top-k entries repaired by splicing an inserted option in,
@@ -582,9 +571,8 @@ type CacheStats struct {
 	SketchCertified      int
 	SketchFallbacks      int
 	Shards               int // the engine's shard count (1 = unsharded)
-	// ShardStats breaks the shared caches down per shard — memoized
-	// partials, hit/miss totals, and the hyperplane stripe occupancy —
-	// on sharded engines (nil otherwise).
+	// ShardStats breaks the shared top-k cache down per shard — memoized
+	// partials and hit/miss totals — on sharded engines (nil otherwise).
 	ShardStats []ShardCacheStats
 }
 
@@ -599,14 +587,13 @@ func (e *Engine) CacheStats() CacheStats {
 	patched, pins, untouched := e.caches.PatchStats()
 	cs := CacheStats{
 		Generation:            e.store.Generation(),
-		Hyperplanes:           e.hyperplanes.Len(),
 		TopKConfigs:           e.caches.Len(),
 		PatchedEntries:        patched,
 		PatchInserts:          pins,
 		UntouchedAdvances:     untouched,
 		TopKHits:              hits,
 		TopKMisses:            misses,
-		Evictions:             e.hyperplanes.Evictions() + e.caches.Evictions(),
+		Evictions:             e.caches.Evictions(),
 		LiveGenerations:       live,
 		RetainedSnapshotBytes: retained,
 		Shards:                e.shards,
@@ -620,13 +607,6 @@ func (e *Engine) CacheStats() CacheStats {
 	cs.SketchCertifiedSkips = sk.CertifiedSkips
 	cs.SketchCertified = int(e.sketchCertified.Load())
 	cs.SketchFallbacks = int(e.sketchFallbacks.Load())
-	if cs.ShardStats != nil {
-		for i, n := range e.hyperplanes.StripeLens() {
-			if i < len(cs.ShardStats) {
-				cs.ShardStats[i].Hyperplanes = n
-			}
-		}
-	}
 	return cs
 }
 

@@ -22,7 +22,7 @@ func rankWeight(rng *rand.Rand, d int) vec.Vector {
 
 // TestEnginePatchOnInsert: a pure-insert batch into a warm engine must
 // route through the patch plane — the patch counters move, every
-// hyperplane and every memoized top-k configuration survives, and
+// memoized top-k configuration survives, and
 // whole-dataset rank memos are repaired by splicing — while a delete
 // must leave the patch counters flat (it takes the reshape path). A
 // dominated insert that cracks no memoized top-k must count as an
@@ -51,7 +51,7 @@ func TestEnginePatchOnInsert(t *testing.T) {
 				}
 			}
 			before := engine.CacheStats()
-			if before.TopKConfigs == 0 || before.Hyperplanes == 0 {
+			if before.TopKConfigs == 0 {
 				t.Fatalf("warmup interned nothing: %+v", before)
 			}
 			if before.PatchInserts != 0 || before.UntouchedAdvances != 0 {
@@ -72,9 +72,6 @@ func TestEnginePatchOnInsert(t *testing.T) {
 			}
 			if after.PatchedEntries == 0 {
 				t.Error("dominant insert patched no memoized entries")
-			}
-			if after.Hyperplanes != before.Hyperplanes {
-				t.Errorf("insert changed hyperplane count %d -> %d, want unchanged", before.Hyperplanes, after.Hyperplanes)
 			}
 			if after.TopKConfigs != before.TopKConfigs {
 				t.Errorf("patch advance dropped configurations: %d -> %d", before.TopKConfigs, after.TopKConfigs)

@@ -264,9 +264,11 @@ func TestRegistryIdleEviction(t *testing.T) {
 func TestRegistryCacheBudget(t *testing.T) {
 	const budget, entries = 120, 1000
 	root := t.TempDir()
+	// The TTL must outlast a durable Create on a slow disk, or the
+	// janitor evicts a tenant between a Create and the share check.
 	r, err := NewRegistry(
 		WithRegistryRoot(root),
-		WithIdleTTL(10*time.Millisecond),
+		WithIdleTTL(250*time.Millisecond),
 		WithCacheBudget(budget, entries))
 	if err != nil {
 		t.Fatal(err)
