@@ -9,7 +9,6 @@
 package toprr_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"toprr/internal/skyband"
 	"toprr/internal/topk"
 	"toprr/internal/vec"
-	"toprr/pkg/toprr"
 )
 
 // benchScale keeps every figure driver fast enough for testing.B while
@@ -118,38 +116,6 @@ func BenchmarkSolveTASStarNoKSwitch(b *testing.B) {
 func BenchmarkSolveTASStarNoTopKCache(b *testing.B) {
 	benchAlgorithm(b, core.Options{Alg: core.TASStar, DisableTopKCache: true})
 }
-
-// ------------------------------------------------ shard-plane scaling
-
-// benchShardedEngine measures cold solves on an engine with S shards:
-// each iteration builds a fresh engine (cold per-shard caches) and
-// answers the same query set sequentially, so the scaling comes from
-// the shard fan-out inside each solve — S workers on the channel
-// scheduler over uncontended per-shard caches — not from batching.
-func benchShardedEngine(b *testing.B, shards int) {
-	ds := dataset.Generate(dataset.Independent, 50000, 4, 7)
-	rng := rand.New(rand.NewSource(99))
-	queries := make([]toprr.Query, 4)
-	for i := range queries {
-		queries[i] = toprr.Query{K: 10, WR: bench.RandomRegion(3, 0.01, 1, rng)}
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine := toprr.NewEngine(ds.Pts, toprr.WithShards(shards))
-		for _, q := range queries {
-			if _, err := engine.Solve(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkShardScaling1(b *testing.B) { benchShardedEngine(b, 1) }
-func BenchmarkShardScaling2(b *testing.B) { benchShardedEngine(b, 2) }
-func BenchmarkShardScaling4(b *testing.B) { benchShardedEngine(b, 4) }
-func BenchmarkShardScaling8(b *testing.B) { benchShardedEngine(b, 8) }
 
 // -------------------------------------------- substrate micro-benches
 

@@ -11,7 +11,7 @@
 //
 //	GET    /v1/healthz                    liveness probe + build info (version, Go toolchain)
 //	GET    /v1/datasets                   list datasets
-//	POST   /v1/datasets                   create a dataset (201 + Location) {"name":..., "points":[[..]]} or {"name":...,"dist":"IND","n":1000,"d":3,"shards":4}
+//	POST   /v1/datasets                   create a dataset (201 + Location) {"name":..., "points":[[..]]} or {"name":...,"dist":"IND","n":1000,"d":3}
 //	DELETE /v1/datasets/{name}            drop a dataset (engine closed, directory removed)
 //	POST   /v1/datasets/{name}/solve      one TopRR query        {"k":3,"lo":[..],"hi":[..]}
 //	POST   /v1/datasets/{name}/batch      many queries, one snapshot {"queries":[{...},...]}
@@ -26,12 +26,6 @@
 // /v1/datasets/default/… like any other. Every query pins the dataset
 // generation current at arrival; mutations publish new generations
 // without disturbing in-flight solves.
-//
-// Each dataset solves on a sharded plane (-shards, or a per-dataset
-// "shards" field on create; default GOMAXPROCS-derived): the option set
-// splits into stable shards with independent caches and the solver fans
-// out across them, producing identical regions to an unsharded solve.
-// /v1/stats breaks the cache counters down per shard.
 //
 // With -data-dir the daemon is durable: each dataset owns a
 // <data-dir>/<name>/ directory with its own WAL (fsynced per batch
@@ -99,16 +93,12 @@ func main() {
 		idleTTL      = flag.Duration("idle-ttl", 0, "close datasets idle this long, reopening from disk on demand (0 = never; requires -data-dir)")
 		cacheConfigs = flag.Int("cache-configs", 0, "process-wide interned top-k configuration budget shared across datasets (0 = per-dataset default)")
 		cacheEntries = flag.Int("cache-entries", 0, "per-configuration memoized-vertex cap (0 = default)")
-		shards       = flag.Int("shards", 0, "solve-plane shards per dataset (0 = GOMAXPROCS-derived; reopened datasets keep their persisted layout)")
 		watchCap     = flag.Int("watch-cap", 0, "standing-query subscriptions allowed per dataset (0 = engine default)")
 	)
 	flag.Parse()
 
 	if err := validateMaxBody(*maxBody); err != nil {
 		fatal(err)
-	}
-	if *shards < 0 || *shards > toprr.MaxShards {
-		fatal(fmt.Errorf("-shards must be in [0, %d], got %d", toprr.MaxShards, *shards))
 	}
 	if *idleTTL < 0 {
 		fatal(fmt.Errorf("-idle-ttl must be >= 0, got %v", *idleTTL))
@@ -135,9 +125,6 @@ func main() {
 	}
 	if *cacheConfigs > 0 || *cacheEntries > 0 {
 		regOpts = append(regOpts, toprr.WithCacheBudget(*cacheConfigs, *cacheEntries))
-	}
-	if *shards > 0 {
-		regOpts = append(regOpts, toprr.WithRegistryShards(*shards))
 	}
 	if *watchCap < 0 {
 		fatal(fmt.Errorf("-watch-cap must be >= 0, got %d", *watchCap))

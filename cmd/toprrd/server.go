@@ -528,8 +528,7 @@ func (s *server) handleOps(w http.ResponseWriter, r *http.Request, eng *toprr.En
 }
 
 // createJSON is the wire form of POST /v1/datasets: a name plus either
-// explicit points or a synthetic-distribution spec, optionally with a
-// solve-plane shard count (0 = the daemon's -shards default).
+// explicit points or a synthetic-distribution spec.
 type createJSON struct {
 	Name   string      `json:"name"`
 	Points [][]float64 `json:"points,omitempty"`
@@ -537,7 +536,6 @@ type createJSON struct {
 	N      int         `json:"n,omitempty"`
 	D      int         `json:"d,omitempty"`
 	Seed   int64       `json:"seed,omitempty"`
-	Shards int         `json:"shards,omitempty"`
 }
 
 // Bounds on synthetic datasets created over the wire, so one POST
@@ -607,16 +605,12 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if req.Shards < 0 || req.Shards > toprr.MaxShards {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("shards=%d out of range [0, %d]", req.Shards, toprr.MaxShards))
-			return
-		}
 		pts, err := bootstrapPoints(req)
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		eng, err := s.reg.CreateWithShards(req.Name, pts, req.Shards)
+		eng, err := s.reg.Create(req.Name, pts)
 		if err != nil {
 			// The name and dataset validated above, so what remains is a
 			// name conflict, a closing registry, or a server-side fault
@@ -637,8 +631,7 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			Generation uint64 `json:"generation"`
 			Options    int    `json:"options"`
 			Dim        int    `json:"dim"`
-			Shards     int    `json:"shards"`
-		}{req.Name, uint64(eng.Generation()), eng.Len(), eng.Dim(), eng.Shards()})
+		}{req.Name, uint64(eng.Generation()), eng.Len(), eng.Dim()})
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET or POST"))
 	}
@@ -671,60 +664,41 @@ func (s *server) handleDatasetDelete(w http.ResponseWriter, r *http.Request, nam
 // evicted dataset (open=false) only name and open are meaningful —
 // stats never page a tenant back in.
 type datasetStatsJSON struct {
-	Name           string          `json:"name"`
-	Open           bool            `json:"open"`
-	Generation     uint64          `json:"generation"`
-	Options        int             `json:"options"`
-	Dim            int             `json:"dim"`
-	TopKConfigs    int             `json:"cache_topk_configs"`
-	TopKHits       int             `json:"cache_topk_hits"`
-	TopKMisses     int             `json:"cache_topk_misses"`
-	Evictions      int             `json:"cache_evictions"`
-	PatchedEntries int             `json:"cache_patched_entries"`
-	PatchInserts   int             `json:"cache_patch_inserts"`
-	UntouchedAdvs  int             `json:"cache_untouched_advances"`
-	MaxConfigs     int             `json:"cache_max_configs,omitempty"`
-	SketchEntries  int             `json:"sketch_entries"`
-	SketchFolded   int             `json:"sketch_folded"`
-	SketchHits     int             `json:"sketch_gate_hits"`
-	SketchMisses   int             `json:"sketch_gate_misses"`
-	SketchSkips    int             `json:"sketch_certified_skips"`
-	SketchCert     int             `json:"sketch_certified"`
-	SketchFalls    int             `json:"sketch_fallbacks"`
-	LiveGens       int             `json:"live_generations"`
-	RetainedBytes  int64           `json:"retained_snapshot_bytes"`
-	Shards         int             `json:"shards,omitempty"`
-	ShardStats     []shardStatJSON `json:"shard_stats,omitempty"`
-	Persistent     bool            `json:"persistent"`
-	WALBytes       int64           `json:"wal_bytes"`
-	WALSegments    int             `json:"wal_segments"`
-	WALSyncs       int64           `json:"wal_syncs,omitempty"`
-	LastCompaction uint64          `json:"last_compaction_generation"`
-	CompactError   string          `json:"wal_compact_error,omitempty"`
-	CloseError     string          `json:"close_error,omitempty"` // last idle-eviction close failure
-}
-
-// shardStatJSON is one shard's slice of a dataset's solve-plane caches.
-type shardStatJSON struct {
-	Shard       int `json:"shard"`
-	TopKEntries int `json:"topk_entries"`
-	TopKHits    int `json:"topk_hits"`
-	TopKMisses  int `json:"topk_misses"`
+	Name           string `json:"name"`
+	Open           bool   `json:"open"`
+	Generation     uint64 `json:"generation"`
+	Options        int    `json:"options"`
+	Dim            int    `json:"dim"`
+	TopKConfigs    int    `json:"cache_topk_configs"`
+	TopKHits       int    `json:"cache_topk_hits"`
+	TopKMisses     int    `json:"cache_topk_misses"`
+	Evictions      int    `json:"cache_evictions"`
+	PatchedEntries int    `json:"cache_patched_entries"`
+	PatchInserts   int    `json:"cache_patch_inserts"`
+	UntouchedAdvs  int    `json:"cache_untouched_advances"`
+	MaxConfigs     int    `json:"cache_max_configs,omitempty"`
+	SketchEntries  int    `json:"sketch_entries"`
+	SketchFolded   int    `json:"sketch_folded"`
+	SketchHits     int    `json:"sketch_gate_hits"`
+	SketchMisses   int    `json:"sketch_gate_misses"`
+	SketchSkips    int    `json:"sketch_certified_skips"`
+	SketchCert     int    `json:"sketch_certified"`
+	SketchFalls    int    `json:"sketch_fallbacks"`
+	LiveGens       int    `json:"live_generations"`
+	RetainedBytes  int64  `json:"retained_snapshot_bytes"`
+	Persistent     bool   `json:"persistent"`
+	WALBytes       int64  `json:"wal_bytes"`
+	WALSegments    int    `json:"wal_segments"`
+	WALSyncs       int64  `json:"wal_syncs,omitempty"`
+	LastCompaction uint64 `json:"last_compaction_generation"`
+	CompactError   string `json:"wal_compact_error,omitempty"`
+	CloseError     string `json:"close_error,omitempty"` // last idle-eviction close failure
 }
 
 func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
 	closeErr := ""
 	if ds.CloseErr != nil {
 		closeErr = ds.CloseErr.Error()
-	}
-	var shardStats []shardStatJSON
-	for _, ss := range ds.Cache.ShardStats {
-		shardStats = append(shardStats, shardStatJSON{
-			Shard:       ss.Shard,
-			TopKEntries: ss.TopKEntries,
-			TopKHits:    ss.TopKHits,
-			TopKMisses:  ss.TopKMisses,
-		})
 	}
 	return datasetStatsJSON{
 		Name:           ds.Name,
@@ -749,8 +723,6 @@ func datasetStatsToJSON(ds toprr.DatasetStats) datasetStatsJSON {
 		SketchFalls:    ds.Cache.SketchFallbacks,
 		LiveGens:       ds.Cache.LiveGenerations,
 		RetainedBytes:  ds.Cache.RetainedSnapshotBytes,
-		Shards:         ds.Cache.Shards,
-		ShardStats:     shardStats,
 		Persistent:     ds.Persist.Persistent,
 		WALBytes:       ds.Persist.WALBytes,
 		WALSegments:    ds.Persist.WALSegments,

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -389,5 +390,33 @@ func TestStatsExposePatchCounters(t *testing.T) {
 	}
 	if stats.Totals.PatchInserts != ds.PatchInserts || stats.Totals.PatchedEntries != ds.PatchedEntries {
 		t.Errorf("totals %+v do not mirror the single dataset %+v", stats.Totals, ds)
+	}
+}
+
+// TestHealthzBuildInfo: the liveness probe reports build info so fleet
+// operators can spot version skew from the probe alone.
+func TestHealthzBuildInfo(t *testing.T) {
+	ts, _ := testServer(t, 50, time.Minute)
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Status    string `json:"status"`
+		Version   string `json:"version"`
+		GoVersion string `json:"go_version"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Status != "ok" {
+		t.Errorf("status = %q", out.Status)
+	}
+	if out.Version == "" {
+		t.Error("healthz reports no version")
+	}
+	if !strings.HasPrefix(out.GoVersion, "go") {
+		t.Errorf("go_version = %q, want a Go toolchain version", out.GoVersion)
 	}
 }

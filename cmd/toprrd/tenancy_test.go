@@ -354,3 +354,20 @@ func TestValidateMaxBody(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateDatasetLocation: POST /v1/datasets answers 201 with a
+// Location header for the new resource.
+func TestCreateDatasetLocation(t *testing.T) {
+	ts, _ := testServer(t, 50, time.Minute)
+
+	resp := postJSON(t, ts.URL+"/v1/datasets", map[string]any{
+		"name": "tenant-a", "dist": "IND", "n": 1000, "d": 3,
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("status = %d, want 201", resp.StatusCode)
+	}
+	if loc := resp.Header.Get("Location"); loc != "/v1/datasets/tenant-a" {
+		t.Errorf("Location = %q, want /v1/datasets/tenant-a", loc)
+	}
+}

@@ -1,6 +1,6 @@
 // Approx: the sketch tier's approximate fast path, end to end. A
 // skewed market — a small elite every preference ranks above a large
-// dominated mass — is exactly the shape the per-shard sketches exploit:
+// dominated mass — is exactly the shape the engine's sketch exploits:
 // the monitored entries capture the elite, the folded threshold bounds
 // the mass, and
 //
@@ -57,7 +57,7 @@ func main() {
 		n, elite, d = 5000, 24, 4
 		k           = 10
 	)
-	engine := toprr.NewEngine(market(rng, n, elite, d), toprr.WithShards(4))
+	engine := toprr.NewEngine(market(rng, n, elite, d))
 	w := vec.Of(0.3, 0.25, 0.2) // reduced preference; w4 = 1 - Σ = 0.25
 
 	// Certified: k is well inside the monitored elite, so the sketch

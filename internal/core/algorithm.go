@@ -50,18 +50,11 @@ func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 		vall: make(map[uint64]ImpactVertex),
 	}
 	s.stats.InputOptions = p.Scorer.Len()
-	var asm ParallelClipAssembler // Shards 0: ClipAssembler's sequential fold
-	if o.Shards > 1 {
-		s.acc = topk.NewShardAccum(o.Shards)
-		s.stats.Shards = o.Shards
-		asm.Shards = o.Shards
-	}
 
 	// The assembly stream opens before the partition, so impact
 	// vertices flow into assembly as regions are confirmed instead of
-	// being buffered until the end. Sharded solves fold through the
-	// chunked parallel merge.
-	s.stream = asm.NewStream(p.Scorer, o.ORVertexBudget)
+	// being buffered until the end.
+	s.stream = ClipAssembler{}.NewStream(p.Scorer, o.ORVertexBudget)
 
 	// Stage 1 — prefilter: discard options that can never rank among
 	// the top-k anywhere in wR.
@@ -93,32 +86,8 @@ func SolveContext(ctx context.Context, p Problem, o Options) (*Result, error) {
 	s.stats.ImpactClips = ao.Clips
 	s.stats.VallSize = len(vall)
 	s.stats.UniqueImpacts = len(ao.Constraints) - 2*p.Scorer.Dim()
-	if o.Shards > 1 {
-		s.stats.ShardStats = s.shardStats(active, ao.ShardClips)
-	}
 	s.stats.Elapsed = time.Since(start)
 	return &Result{OR: ao.OR, ORConstraints: ao.Constraints, Vall: vall, Stats: s.stats, Problem: p}, nil
-}
-
-// shardStats assembles the per-shard work breakdown of a sharded solve:
-// shard populations of the filtered candidate set, the solve's partial
-// top-k computations (from the accumulator the sharded caches fill) and
-// the merge stage's per-chunk clips.
-func (s *solver) shardStats(active []int, mergeClips []int) []ShardStat {
-	out := make([]ShardStat, s.opt.Shards)
-	for i := range out {
-		out[i].Shard = i
-		out[i].Partials = int(s.acc.Partials[i].Load())
-		out[i].Scored = s.acc.Scored[i].Load()
-		if i < len(mergeClips) {
-			out[i].MergeClips = mergeClips[i]
-		}
-	}
-	for _, slot := range active {
-		sh := topk.ShardOfPoint(s.prob.Scorer.Point(slot), s.opt.Shards)
-		out[sh].Options++
-	}
-	return out
 }
 
 // solver carries the state of one Solve call. The mutex guards every
@@ -132,8 +101,7 @@ type solver struct {
 	vall        map[uint64]ImpactVertex // keyed by the quantized vertex hash
 	stream      AssembleStream          // oR assembly fed by accept (nil for filter-only solvers)
 	stats       Stats
-	acc         *topk.ShardAccum // per-shard work attribution (sharded solves only)
-	collectSets map[int]bool     // non-nil when the UTK filter wants top-k set members
+	collectSets map[int]bool // non-nil when the UTK filter wants top-k set members
 	onAccept    func(region *geom.Polytope, cache *topk.Cache)
 	allOpts     []int // lazily built identity active set (guarded by mu)
 }
@@ -175,15 +143,10 @@ type regionCtx struct {
 }
 
 // newCache builds a solve-local top-k cache honoring the
-// DisableTopKCache ablation and the sharded evaluation plane: under
-// Options.Shards > 1 even the Lemma-5-derived configurations shard, so
-// the whole recursion runs on per-shard memos.
+// DisableTopKCache ablation.
 func (s *solver) newCache(k int, active []int) *topk.Cache {
 	if s.opt.DisableTopKCache {
 		return topk.NewPassthroughCache(s.prob.Scorer, k, active)
-	}
-	if s.opt.Shards > 1 {
-		return topk.NewShardedCache(s.prob.Scorer, k, active, s.opt.Shards, 0, nil)
 	}
 	return topk.NewCache(s.prob.Scorer, k, active)
 }
@@ -205,21 +168,16 @@ func (s *solver) newCacheShared(k int, active []int) *topk.Cache {
 }
 
 // process tests one region and either accepts it (recording its vertices
-// in Vall) or splits it, returning the children to process. ctx bounds
-// the sharded per-vertex evaluations; the unsharded path is cancelled
-// between regions by the driver's budget checks instead.
-func (s *solver) process(ctx context.Context, rc regionCtx) ([]regionCtx, error) {
+// in Vall) or splits it, returning the children to process. The driver
+// checks cancellation and the budgets between regions.
+func (s *solver) process(rc regionCtx) []regionCtx {
 	regionsProcessedTotal.Add(1)
 	cache := rc.cache
 	verts := rc.region.VertexPoints()
 
 	// TAS*: Lemma 5 — discard consistent top-λ options, decrement k.
 	if s.opt.Alg == TASStar && !s.opt.DisableLemma5 {
-		var err error
-		cache, err = s.lemma5(ctx, verts, cache)
-		if err != nil {
-			return nil, err
-		}
+		cache = s.lemma5(verts, cache)
 		n := len(cache.Active())
 		s.addStats(func(st *Stats) {
 			if n < st.ProcessedMin {
@@ -228,27 +186,12 @@ func (s *solver) process(ctx context.Context, rc regionCtx) ([]regionCtx, error)
 		})
 	}
 
-	results := make([]*topk.Result, len(verts))
-	miss := 0
-	for i, v := range verts {
-		r, hit, err := cache.LookupCtx(ctx, v, s.acc)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-		if !hit {
-			miss++
-		}
-	}
-	s.addStats(func(st *Stats) {
-		st.TopKQueries += len(verts)
-		st.TopKMisses += miss
-	})
+	results := s.lookupAll(cache, verts)
 
 	va, vb := s.firstViolation(results)
 	if va < 0 { // region passes the test
 		s.accept(rc.region, cache, verts, results)
-		return nil, nil
+		return nil
 	}
 
 	// TAS*: Lemma 7 — if all vertices share the same top-(k-1) set, the
@@ -257,14 +200,14 @@ func (s *solver) process(ctx context.Context, rc regionCtx) ([]regionCtx, error)
 	if s.opt.Alg == TASStar && !s.opt.DisableLemma7 && s.sameTopKm1(results) {
 		s.addStats(func(st *Stats) { st.Lemma7Accepts++ })
 		s.accept(rc.region, cache, verts, results)
-		return nil, nil
+		return nil
 	}
 
 	// Choose candidate splitting pairs and perform the first cut that
 	// divides the region into two non-empty parts (Lemma 4 guarantees
 	// one exists under general position).
 	if children, ok := s.trySplit(rc.region, cache, s.splitCandidates(verts, results, va, vb)); ok {
-		return children, nil
+		return children
 	}
 
 	// Degenerate case: splits create vertices exactly on score-tie
@@ -278,11 +221,11 @@ func (s *solver) process(ctx context.Context, rc regionCtx) ([]regionCtx, error)
 	// score is a continuous function of w — the impact halfspaces at the
 	// region's vertices are exact, so accepting is sound.
 	if children, ok := s.tryEscalationSplit(rc.region, cache, results); ok {
-		return children, nil
+		return children
 	}
 	s.addStats(func(st *Stats) { st.DegenerateStops++ })
 	s.accept(rc.region, cache, verts, results)
-	return nil, nil
+	return nil
 }
 
 // trySplit attempts the candidate pairs in order and splits the region
@@ -448,27 +391,12 @@ func sortSmall(ix []int) {
 // vertices of the region share the same top-λ set for some λ < k, those
 // λ options can be discarded and k reduced, without changing the TopRR
 // output. It returns the (possibly new) top-k context.
-func (s *solver) lemma5(ctx context.Context, verts []vec.Vector, cache *topk.Cache) (*topk.Cache, error) {
+func (s *solver) lemma5(verts []vec.Vector, cache *topk.Cache) *topk.Cache {
 	k := cache.K()
 	if k <= 1 {
-		return cache, nil
+		return cache
 	}
-	results := make([]*topk.Result, len(verts))
-	miss := 0
-	for i, v := range verts {
-		r, hit, err := cache.LookupCtx(ctx, v, s.acc)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-		if !hit {
-			miss++
-		}
-	}
-	s.addStats(func(st *Stats) {
-		st.TopKQueries += len(verts)
-		st.TopKMisses += miss
-	})
+	results := s.lookupAll(cache, verts)
 	lambda := 0
 	for l := k - 1; l >= 1; l-- {
 		same := true
@@ -484,7 +412,7 @@ func (s *solver) lemma5(ctx context.Context, verts []vec.Vector, cache *topk.Cac
 		}
 	}
 	if lambda == 0 {
-		return cache, nil
+		return cache
 	}
 	// Φ = the common top-λ set (indices from the first vertex's result).
 	phi := make(map[int]bool, lambda)
@@ -507,7 +435,26 @@ func (s *solver) lemma5(ctx context.Context, verts []vec.Vector, cache *topk.Cac
 		}
 	}
 	s.addStats(func(st *Stats) { st.Lemma5Prunes += lambda })
-	return s.newCache(k-lambda, newActive), nil
+	return s.newCache(k-lambda, newActive)
+}
+
+// lookupAll looks up the top-k result at every vertex, counting the
+// queries and the misses in the solve's stats.
+func (s *solver) lookupAll(cache *topk.Cache, verts []vec.Vector) []*topk.Result {
+	results := make([]*topk.Result, len(verts))
+	miss := 0
+	for i, v := range verts {
+		r, hit := cache.Lookup(v)
+		results[i] = r
+		if !hit {
+			miss++
+		}
+	}
+	s.addStats(func(st *Stats) {
+		st.TopKQueries += len(verts)
+		st.TopKMisses += miss
+	})
+	return results
 }
 
 // accept records a confirmed region: its defining vertices (with their

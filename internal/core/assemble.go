@@ -14,11 +14,10 @@ import (
 // halfspaces of every vertex. Implementations must be deterministic for
 // a given Vall.
 //
-// A solve itself streams: it opens ParallelClipAssembler's stream (see
-// stream.go), which is ClipAssembler's sequential fold when the solve is
-// unsharded, and pushes impact vertices as the partition stage confirms
-// regions. The buffered Assemble calls are bit-identical to that stream
-// and serve replay and benchmark harnesses.
+// A solve itself streams: it opens ClipAssembler's stream (see
+// stream.go) and pushes impact vertices as the partition stage confirms
+// regions. The buffered Assemble call is bit-identical to that stream
+// and serves replay and benchmark harnesses.
 type Assembler interface {
 	// Name identifies the assembler in stats and logs.
 	Name() string
@@ -32,7 +31,6 @@ type AssembleOutput struct {
 	Constraints []geom.Halfspace // exact H-representation (always set)
 	OR          *geom.Polytope   // explicit geometry, nil if over budget
 	Clips       int              // halfspaces that actually cut during enumeration
-	ShardClips  []int            // per-shard clip counts (ParallelClipAssembler only)
 }
 
 // ClipAssembler is the default assembler: incremental halfspace
@@ -107,45 +105,6 @@ func clipFold(box *geom.Polytope, impact []geom.Halfspace, vertexBudget int) (or
 		}
 	}
 	return f.Detach(), clips
-}
-
-// ParallelClipAssembler is the sharded merge stage: the deduplicated
-// impact halfspaces are split round-robin into one constraint chunk per
-// shard, each chunk is clipped against the option box concurrently, and
-// the per-shard polytopes are intersected — constraint intersection
-// over the existing geom machinery — into the final region. Because
-// halfspace intersection is commutative and associative, the result is
-// exactly ClipAssembler's region, and the shared dedup keeps the
-// H-representation identical too; only the explicit vertex enumeration
-// may differ by float noise in degenerate cases. When an intermediate
-// chunk polytope exceeds the vertex budget, the assembler falls back to
-// the sequential fold, so whether OR geometry is present matches the
-// unsharded assembler exactly as well. Per-shard clip counts
-// land in AssembleOutput.ShardClips, summing to Clips (the
-// intersection fold's cuts are attributed to the chunk that
-// contributed the cutting halfspace; when a fallback runs the
-// sequential fold instead, its cuts are attributed to shard 0).
-type ParallelClipAssembler struct {
-	// Shards is the chunk count (values < 2 fall back to the sequential
-	// ClipAssembler path; values above topk.MaxShards are clamped).
-	Shards int
-}
-
-// Name implements Assembler.
-func (ParallelClipAssembler) Name() string { return "clip-sharded" }
-
-// NewStream opens a streaming assembly for one solve.
-func (a ParallelClipAssembler) NewStream(scorer *topk.Scorer, vertexBudget int) AssembleStream {
-	return &clipStream{set: impactSet{scorer: scorer}, budget: vertexBudget, shards: a.Shards}
-}
-
-// Assemble implements Assembler, buffered equivalent of the stream.
-func (a ParallelClipAssembler) Assemble(scorer *topk.Scorer, vall []ImpactVertex, vertexBudget int) AssembleOutput {
-	st := a.NewStream(scorer, vertexBudget)
-	for _, iv := range vall {
-		st.Push(iv)
-	}
-	return st.Finish()
 }
 
 // sortedVall returns Vall in a deterministic order: lexicographic over

@@ -53,11 +53,7 @@ func (s *solver) drive(ctx context.Context, root regionCtx, start time.Time) err
 			if err := s.checkBudget(ctx, start); err != nil {
 				return err
 			}
-			children, err := s.process(ctx, rc)
-			if err != nil {
-				return err
-			}
-			for _, c := range children {
+			for _, c := range s.process(rc) {
 				f.push(c)
 			}
 		}
@@ -86,10 +82,8 @@ func (s *solver) driveParallel(ctx context.Context, f *lifoFrontier, start time.
 	for w := 0; w < s.opt.Workers; w++ {
 		go func() {
 			for rc := range tasks {
-				children, err := s.process(ctx, rc)
-				if err == nil {
-					err = s.checkBudget(ctx, start)
-				}
+				children := s.process(rc)
+				err := s.checkBudget(ctx, start)
 				select {
 				case outcomes <- processOutcome{children: children, err: err}:
 				case <-done:

@@ -89,7 +89,6 @@ type Options struct {
 	DisableKSwitch   bool          // TAS*: random Case-1 pair instead of k-switch (Section 5.3)
 	DisableTopKCache bool          // ablation: recompute top-k at every vertex instead of caching
 	Workers          int           // parallel region processing (default 1 = sequential)
-	Shards           int           // shard count of the top-k evaluation plane (0/1 = unsharded; results are identical either way)
 	MaxRegions       int           // safety valve on the recursion (default 2,000,000)
 	ORVertexBudget   int           // vertex cap for enumerating oR's geometry (default 5,000)
 	Timeout          time.Duration // wall-clock budget for one solve (0 = unlimited)
@@ -131,7 +130,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats captures the instrumentation the paper reports in Sections 6.4
-// and 6.5, plus the per-shard work breakdown of sharded solves.
+// and 6.5.
 type Stats struct {
 	InputOptions    int           // |D|
 	FilteredOptions int           // |D'| after the r-skyband filter
@@ -146,26 +145,9 @@ type Stats struct {
 	TopKMisses      int           // top-k computations that did real work
 	ImpactClips     int           // impact halfspaces applied to build oR
 	UniqueImpacts   int           // deduplicated impact halfspaces in the H-representation
-	Shards          int           // shard count of the evaluation plane (0/1 = unsharded)
-	ShardStats      []ShardStat   // per-shard work breakdown (sharded solves only)
 	SketchGated     bool          // the sketch gate certified this solve's prefilter
 	SketchSkips     int           // options the certificate excused from exact dominance tests
 	Elapsed         time.Duration // wall-clock time of Solve
-}
-
-// ShardStat is one shard's share of a solve's work: its population of
-// the filtered candidate set, the partial top-k computations it
-// performed for this solve (with the options scored doing so), and the
-// constraint clips its chunk of the merge stage applied. LP/QP solves
-// are reported process-wide (toprr.ReadCounters) rather than per shard:
-// the sharded phases — scoring and clipping — are LP-free by
-// construction, so per-shard LP/QP counts would always read zero.
-type ShardStat struct {
-	Shard      int
-	Options    int   // shard population within the filtered candidate set
-	Partials   int   // partial top-k computations attributed to this solve
-	Scored     int64 // options scored computing those partials
-	MergeClips int   // constraint clips applied by this shard's merge chunk
 }
 
 // Result is the output of a TopRR solve.

@@ -150,13 +150,11 @@ func (s *impactSet) sorted() []geom.Halfspace {
 	return out
 }
 
-// clipStream is the streaming state shared by ClipAssembler (shards
-// <= 1) and ParallelClipAssembler (shards > 1).
+// clipStream is ClipAssembler's streaming state.
 type clipStream struct {
 	mu     sync.Mutex
 	set    impactSet
 	budget int
-	shards int
 }
 
 // Push implements AssembleStream.
@@ -166,110 +164,20 @@ func (st *clipStream) Push(iv ImpactVertex) {
 	st.mu.Unlock()
 }
 
-// Finish implements AssembleStream.
+// Finish implements AssembleStream: box constraints plus the
+// deduplicated, deepest-cut-first impact halfspaces, folded by clipFold.
+// Both Assemble (buffered) and the solve's stream end here, which is
+// what makes the two paths bit-identical by construction.
 func (st *clipStream) Finish() AssembleOutput {
 	st.mu.Lock()
 	impact := st.set.sorted()
 	d := st.set.scorer.Dim()
-	budget, shards := st.budget, st.shards
+	budget := st.budget
 	st.mu.Unlock()
-	return assembleFromImpact(d, impact, budget, shards)
-}
-
-// assembleFromImpact is the shared fold stage: box constraints plus the
-// already-deduplicated, deepest-cut-first impact halfspaces, clipped
-// sequentially (shards < 2) or via the chunked parallel merge. Both
-// Assemble (buffered) and Finish (streaming) end here, which is what
-// makes the two paths bit-identical by construction.
-func assembleFromImpact(d int, impact []geom.Halfspace, vertexBudget, shards int) AssembleOutput {
 	box := optionBox(d)
 	out := AssembleOutput{
 		Constraints: append(append(make([]geom.Halfspace, 0, len(box.HS)+len(impact)), box.HS...), impact...),
 	}
-	s := shards
-	if s > topk.MaxShards {
-		s = topk.MaxShards
-	}
-	// Sequential path: too few constraints for the fan-out to pay for
-	// itself, or an over-budget intermediate in the chunked phases
-	// below. Its clips are attributed to shard 0, keeping
-	// sum(ShardClips) == Clips.
-	sequential := func() AssembleOutput {
-		out.OR, out.Clips = clipFold(box, impact, vertexBudget)
-		if shards > 0 {
-			out.ShardClips = make([]int, shards)
-			out.ShardClips[0] = out.Clips
-		}
-		return out
-	}
-	if s < 2 || len(impact) < 2*s {
-		return sequential()
-	}
-
-	// Round-robin assignment keeps the deepest cuts (the front of the
-	// deduplicated order) spread across chunks.
-	chunks := make([][]geom.Halfspace, s)
-	for i, h := range impact {
-		chunks[i%s] = append(chunks[i%s], h)
-	}
-
-	// Phase 1 — clip each chunk against the box concurrently, each
-	// goroutine folding inside its own arena-backed geom.Fold. A chunk
-	// holds only ~1/S of the constraints, so its intermediate polytope
-	// can exceed the vertex budget where the sequential deepest-cut fold
-	// would not; over-budget falls back to the sequential path so OR
-	// presence matches the unsharded assembler exactly.
-	shardClips := make([]int, s)
-	polys := make([]*geom.Polytope, s)
-	over := make([]bool, s)
-	var wg sync.WaitGroup
-	for i := range chunks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f := geom.NewFold(box)
-			defer f.Release()
-			for _, h := range chunks[i] {
-				if f.Clip(h) {
-					shardClips[i]++
-				}
-				if f.Current().NumVertices() > vertexBudget {
-					over[i] = true
-					return
-				}
-			}
-			polys[i] = f.Detach()
-		}(i)
-	}
-	wg.Wait()
-	for _, o := range over {
-		if o {
-			return sequential()
-		}
-	}
-
-	// Phase 2 — intersect the per-shard polytopes in shard order. Each
-	// polytope's H-representation describes exactly its region, so
-	// clipping by it is intersection; empty chunks short-circuit. An
-	// over-budget intermediate falls back to the sequential fold for the
-	// same reason as phase 1.
-	f := geom.NewFold(polys[0])
-	for i := 1; i < s && !f.Current().IsEmpty(); i++ {
-		for _, h := range polys[i].HS {
-			if f.Clip(h) {
-				shardClips[i]++
-			}
-			if f.Current().NumVertices() > vertexBudget {
-				f.Release()
-				return sequential()
-			}
-		}
-	}
-	out.OR = f.Detach()
-	f.Release()
-	out.ShardClips = shardClips
-	for _, c := range shardClips {
-		out.Clips += c
-	}
+	out.OR, out.Clips = clipFold(box, impact, budget)
 	return out
 }

@@ -70,27 +70,19 @@ func assertSameOutput(t *testing.T, want, got AssembleOutput, label string) {
 // deepest-cut sort are arrival-order independent by construction.
 func TestStreamingMatchesBufferedAnyOrder(t *testing.T) {
 	scorer, vall := streamTestInstance(t)
-	assemblers := []interface {
-		Assembler
-		NewStream(*topk.Scorer, int) AssembleStream
-	}{
-		ClipAssembler{},
-		ParallelClipAssembler{Shards: 3},
-	}
-	for _, asm := range assemblers {
-		want := asm.Assemble(scorer, vall, 5000)
-		for trial := 0; trial < 4; trial++ {
-			shuffled := append([]ImpactVertex(nil), vall...)
-			rng := rand.New(rand.NewSource(int64(trial + 1)))
-			rng.Shuffle(len(shuffled), func(i, j int) {
-				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-			})
-			st := asm.NewStream(scorer, 5000)
-			for _, iv := range shuffled {
-				st.Push(iv)
-			}
-			assertSameOutput(t, want, st.Finish(), asm.Name())
+	asm := ClipAssembler{}
+	want := asm.Assemble(scorer, vall, 5000)
+	for trial := 0; trial < 4; trial++ {
+		shuffled := append([]ImpactVertex(nil), vall...)
+		rng := rand.New(rand.NewSource(int64(trial + 1)))
+		rng.Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		st := asm.NewStream(scorer, 5000)
+		for _, iv := range shuffled {
+			st.Push(iv)
 		}
+		assertSameOutput(t, want, st.Finish(), asm.Name())
 	}
 }
 

@@ -17,11 +17,10 @@
 // bound everything in this package leans on. The under-count side is
 // exact: monitored entries carry exact coordinates.
 //
-// One sketch summarizes one shard of the dataset (shard.go's
-// content-stable assignment), and per-shard sketches merge on demand:
-// Merge is associative and commutative — entry-set union plus
-// componentwise threshold max — so sketches compose exactly like the
-// exact plane's mergePartials, in any order and grouping.
+// An engine keeps one sketch over its whole dataset (Plane). Sketches
+// over disjoint member sets also merge: Merge is associative and
+// commutative — entry-set union plus componentwise threshold max — so
+// sketches compose in any order and grouping.
 package sketch
 
 import (
@@ -34,11 +33,11 @@ import (
 	"toprr/internal/vec"
 )
 
-// DefaultCapacity is the monitored-slot budget of one per-shard sketch.
-// Memory per shard is capacity slice headers plus one threshold vector
-// (the entry coordinates alias the dataset, so the sketch plane costs
-// O(capacity · shards) pointers, not a dataset copy); see docs/APPROX.md
-// for the budget arithmetic and how capacity trades against skew.
+// DefaultCapacity is the monitored-slot budget of an engine's sketch.
+// Its memory is capacity slice headers plus one threshold vector (the
+// entry coordinates alias the dataset, so the sketch plane costs
+// O(capacity) pointers, not a dataset copy); see docs/APPROX.md for the
+// budget arithmetic and how capacity trades against skew.
 const DefaultCapacity = 64
 
 // Entry is one monitored option: its dataset slot and exact
@@ -173,12 +172,11 @@ func (s *Sketch) clone() *Sketch {
 	return c
 }
 
-// Merge combines two sketches over disjoint member sets (distinct
-// shards of one dataset) into an unbounded sketch: the union of the
-// monitored entries and the componentwise max of the thresholds. Both
-// halves survive unchanged. Merge is associative and commutative —
-// MergeAll composes per-shard sketches in any order or grouping to the
-// same summary, exactly like the exact plane's mergePartials.
+// Merge combines two sketches over disjoint member sets of one dataset
+// into an unbounded sketch: the union of the monitored entries and the
+// componentwise max of the thresholds. Both halves survive unchanged.
+// Merge is associative and commutative — MergeAll composes sketches in
+// any order or grouping to the same summary.
 func Merge(a, b *Sketch) *Sketch {
 	if a.d != b.d {
 		panic(fmt.Sprintf("sketch: merging dimensions %d and %d", a.d, b.d))
@@ -219,8 +217,8 @@ func Merge(a, b *Sketch) *Sketch {
 	return out
 }
 
-// MergeAll k-way merges per-shard sketches. nil and empty inputs are
-// skipped; MergeAll(nil) returns nil.
+// MergeAll k-way merges sketches. nil and empty inputs are skipped;
+// MergeAll(nil) returns nil.
 func MergeAll(ss []*Sketch) *Sketch {
 	var out *Sketch
 	for _, s := range ss {
@@ -229,7 +227,7 @@ func MergeAll(ss []*Sketch) *Sketch {
 		}
 		if out == nil {
 			// Merge with an empty sketch clones, so the result never
-			// aliases a per-shard sketch's mutable slices.
+			// aliases an input sketch's mutable slices.
 			out = Merge(New(s.d, 0), s)
 			continue
 		}

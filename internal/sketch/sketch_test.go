@@ -282,38 +282,36 @@ func TestCertifySkybandSound(t *testing.T) {
 func TestPlaneAdvanceMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const d = 4
-	for _, shards := range []int{1, 2, 4} {
-		pts := randPoints(rng, 150, d)
-		sc1 := topk.NewScorer(pts)
-		pl := NewPlane(sc1, shards, 16)
+	pts := randPoints(rng, 150, d)
+	sc1 := topk.NewScorer(pts)
+	pl := NewPlane(sc1, 1, 16)
 
-		// Pure-insert advance: successor sketches must equal a rebuild.
-		pts2 := append(append([]vec.Vector(nil), pts...), randPoints(rng, 30, d)...)
-		inserted := make([]int, 30)
-		for i := range inserted {
-			inserted[i] = 150 + i
-		}
-		sc2 := topk.NewScorer(pts2)
-		pl.AdvanceInsert(sc2, inserted)
-		fresh := NewPlane(sc2, shards, 16)
-		if !sketchEqual(pl.MergedFor(sc2), fresh.MergedFor(sc2)) {
-			t.Fatalf("shards=%d: insert advance diverges from rebuild", shards)
-		}
+	// Pure-insert advance: the successor sketch must equal a rebuild.
+	pts2 := append(append([]vec.Vector(nil), pts...), randPoints(rng, 30, d)...)
+	inserted := make([]int, 30)
+	for i := range inserted {
+		inserted[i] = 150 + i
+	}
+	sc2 := topk.NewScorer(pts2)
+	pl.AdvanceInsert(sc2, inserted)
+	fresh := NewPlane(sc2, 1, 16)
+	if !sketchEqual(pl.For(sc2), fresh.For(sc2)) {
+		t.Fatal("insert advance diverges from rebuild")
+	}
 
-		// Stale generations are declined.
-		if pl.MergedFor(sc1) != nil {
-			t.Fatalf("shards=%d: plane served a stale generation", shards)
-		}
+	// Stale generations are declined.
+	if pl.For(sc1) != nil {
+		t.Fatal("plane served a stale generation")
+	}
 
-		// Reshape advance with an empty touched list rebuilds everything.
-		pts3 := append([]vec.Vector(nil), pts2...)
-		pts3[7] = randPoints(rng, 1, d)[0]
-		sc3 := topk.NewScorer(pts3)
-		pl.Advance(sc3, nil)
-		fresh3 := NewPlane(sc3, shards, 16)
-		if !sketchEqual(pl.MergedFor(sc3), fresh3.MergedFor(sc3)) {
-			t.Fatalf("shards=%d: reshape advance diverges from rebuild", shards)
-		}
+	// Reshape advance rebuilds.
+	pts3 := append([]vec.Vector(nil), pts2...)
+	pts3[7] = randPoints(rng, 1, d)[0]
+	sc3 := topk.NewScorer(pts3)
+	pl.Advance(sc3)
+	fresh3 := NewPlane(sc3, 1, 16)
+	if !sketchEqual(pl.For(sc3), fresh3.For(sc3)) {
+		t.Fatal("reshape advance diverges from rebuild")
 	}
 }
 

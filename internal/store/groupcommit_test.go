@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"toprr/internal/topk"
 	"toprr/internal/vec"
 )
 
@@ -128,40 +127,97 @@ func TestStoreConcurrentApply(t *testing.T) {
 	}
 }
 
-// TestSnapshotShardCountRoundtrip: the shard count written into the
-// base snapshot wins over the reopening configuration, so a dataset
-// keeps its layout across restarts.
-func TestSnapshotShardCountRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(PersistConfig{Dir: dir, Shards: 5}, []vec.Vector{vec.Of(0.1, 0.2), vec.Of(0.3, 0.4)})
+// snapshotReserved reads the reserved header field of a snapshot file.
+func snapshotReserved(t *testing.T, path string) uint32 {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 5 {
-		t.Fatalf("fresh store shards = %d, want 5", s.Shards())
-	}
-	if _, _, err := s.Apply([]Op{Insert(vec.Of(0.5, 0.5))}); err != nil {
+	return binary.LittleEndian.Uint32(data[len(snapMagic)+24:])
+}
+
+// setSnapshotReserved rewrites the reserved header field of a snapshot
+// file and its checksum, as a store that kept a shard count there did.
+func setSnapshotReserved(t *testing.T, path string, v uint32) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	le := binary.LittleEndian
+	payload := data[len(snapMagic) : len(data)-4]
+	le.PutUint32(payload[24:], v)
+	le.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotReservedFieldIgnored: a directory whose base snapshot
+// records a shard count (4) in the header field that is now reserved,
+// plus a WAL tail, opens to the same generation and options, and the
+// next compaction writes the field as 0.
+func TestSnapshotReservedFieldIgnored(t *testing.T) {
+	dir := t.TempDir()
+	pts := []vec.Vector{vec.Of(0.1, 0.2), vec.Of(0.3, 0.4), vec.Of(0.6, 0.1)}
+	if err := writeSnapshot(dir, 1, 0, pts); err != nil {
+		t.Fatal(err)
+	}
+	snap1 := filepath.Join(dir, snapshotName(1))
+	setSnapshotReserved(t, snap1, 4)
+
+	cfg := PersistConfig{Dir: dir, CompactOps: 1 << 30, CompactBytes: 1 << 30, SegmentBytes: 1 << 30}
+	s, err := Open(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []vec.Vector{vec.Of(0.5, 0.5), vec.Of(0.9, 0.2)} {
+		if _, _, err := s.Apply([]Op{Insert(p)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantGen, want := s.Generation(), s.Snapshot().Scorer.Points()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got := snapshotReserved(t, snap1); got != 4 {
+		t.Fatalf("base snapshot reserved field = %d, want the old layout's 4", got)
+	}
 
-	re, err := Open(PersistConfig{Dir: dir, Shards: 9}, nil)
+	cfg.CompactOps = 1
+	re, err := Open(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Shards() != 5 {
-		t.Fatalf("reopened shards = %d, want persisted 5", re.Shards())
+	if re.Generation() != wantGen {
+		t.Fatalf("recovered generation %d, want %d", re.Generation(), wantGen)
 	}
-	if re.Len() != 3 {
-		t.Fatalf("reopened %d options, want 3 (WAL replay on top of the sharded snapshot)", re.Len())
+	got := re.Snapshot().Scorer.Points()
+	if len(got) != len(want) {
+		t.Fatalf("recovered %d options, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i], 0) {
+			t.Fatalf("recovered option %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	if _, _, err := re.Apply([]Op{Insert(vec.Of(0.3, 0.3))}); err != nil {
+		t.Fatal(err)
+	}
+	compacted := re.PersistStats().LastCompaction
+	if compacted != wantGen+1 {
+		t.Fatalf("compaction watermark = %d, want %d", compacted, wantGen+1)
+	}
+	if got := snapshotReserved(t, filepath.Join(dir, snapshotName(compacted))); got != 0 {
+		t.Fatalf("compacted snapshot reserved field = %d, want 0", got)
 	}
 }
 
-// TestSnapshotOldFormatRefused: a TOPRRSN1 snapshot (the pre-shard
-// format, without the shard-count word) is not read. Open fails on a
+// TestSnapshotOldFormatRefused: a TOPRRSN1 snapshot (the format
+// before the reserved header word) is not read. Open fails on a
 // directory whose only snapshot is one, and leaves that file and the
 // WAL untouched.
 func TestSnapshotOldFormatRefused(t *testing.T) {
@@ -169,7 +225,7 @@ func TestSnapshotOldFormatRefused(t *testing.T) {
 	pts := []vec.Vector{vec.Of(0.1, 0.2), vec.Of(0.3, 0.4)}
 
 	// Hand-craft the old format: magic TOPRRSN1, 24-byte header
-	// without the shard word, row-major points, trailing CRC.
+	// without the reserved word, row-major points, trailing CRC.
 	d := 2
 	payload := make([]byte, 8+8+4+4+len(pts)*d*8)
 	le := binary.LittleEndian
@@ -197,7 +253,7 @@ func TestSnapshotOldFormatRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(PersistConfig{Dir: dir, Shards: 4}, nil)
+	s, err := Open(PersistConfig{Dir: dir}, nil)
 	if err == nil {
 		s.Close()
 		t.Fatal("Open read a TOPRRSN1 snapshot")
@@ -213,79 +269,5 @@ func TestSnapshotOldFormatRefused(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s changed by the refused open", filepath.Base(path))
 		}
-	}
-}
-
-// TestDeltaShardsTouched: a sharded store routes each batch to the
-// owning shards — an insert touches exactly the new option's shard, an
-// update the shards of the old and new contents, and a swap-delete the
-// shards of the deleted and relocated options.
-func TestDeltaShardsTouched(t *testing.T) {
-	const shards = 8
-	pts := []vec.Vector{
-		vec.Of(0.10, 0.90),
-		vec.Of(0.20, 0.80),
-		vec.Of(0.30, 0.70),
-		vec.Of(0.40, 0.60),
-	}
-	s, err := NewSharded(pts, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	contains := func(list []int, x int) bool {
-		for _, v := range list {
-			if v == x {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Insert: exactly the new option's shard.
-	p := vec.Of(0.55, 0.45)
-	_, delta, err := s.Apply([]Op{Insert(p)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(delta.ShardsTouched) != 1 || delta.ShardsTouched[0] != topk.ShardOfPoint(p, shards) {
-		t.Fatalf("insert touched %v, want [%d]", delta.ShardsTouched, topk.ShardOfPoint(p, shards))
-	}
-
-	// Update slot 0: old and new contents' shards.
-	oldShard := topk.ShardOfPoint(pts[0], shards)
-	repl := vec.Of(0.77, 0.23)
-	_, delta, err = s.Apply([]Op{Update(0, repl)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(delta.ShardsTouched, oldShard) || !contains(delta.ShardsTouched, topk.ShardOfPoint(repl, shards)) {
-		t.Fatalf("update touched %v, want old shard %d and new shard %d", delta.ShardsTouched, oldShard, topk.ShardOfPoint(repl, shards))
-	}
-
-	// Swap-delete slot 1: the deleted option's shard and the relocated
-	// (former last) option's shard.
-	cur := s.Snapshot().Scorer.Points()
-	deleted := topk.ShardOfPoint(cur[1], shards)
-	moved := topk.ShardOfPoint(cur[len(cur)-1], shards)
-	_, delta, err = s.Apply([]Op{Delete(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(delta.ShardsTouched, deleted) || !contains(delta.ShardsTouched, moved) {
-		t.Fatalf("delete touched %v, want deleted shard %d and moved shard %d", delta.ShardsTouched, deleted, moved)
-	}
-
-	// Unsharded stores route nothing.
-	u, err := New(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, delta, err = u.Apply([]Op{Insert(p)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.ShardsTouched != nil {
-		t.Fatalf("unsharded store reported ShardsTouched %v", delta.ShardsTouched)
 	}
 }

@@ -10,7 +10,7 @@ package store
 //	8-byte magic "TOPRRSN2"
 //	payload:
 //	  u64 generation · u64 op sequence watermark · u32 n · u32 d
-//	  u32 shard count (0 = unsharded)
+//	  u32 reserved (written as 0, ignored on read)
 //	  n × d × u64 float64 bits (row-major options)
 //	u32 CRC-32 (IEEE) of the payload
 //
@@ -88,11 +88,8 @@ type PersistConfig struct {
 	// SegmentBytes rolls the active WAL segment past this size
 	// (default 8 MiB).
 	SegmentBytes int64
-	// Shards records the dataset's shard count in the snapshot metadata
-	// (0 = unsharded). When the directory already holds state, the
-	// persisted count wins — a reopened dataset keeps its layout — and
-	// Shards only seeds fresh directories and ones whose snapshot
-	// records no layout (count 0).
+	// Shards is ignored. It is kept only because the toprrbench module
+	// compiles against it.
 	Shards int
 }
 
@@ -151,9 +148,9 @@ func snapshotName(gen Generation) string {
 }
 
 // writeSnapshot atomically writes the option set as the base snapshot of
-// generation gen with op-sequence watermark seq and shard count shards:
-// temp file, fsync, rename, directory fsync.
-func writeSnapshot(dir string, gen Generation, seq uint64, pts []vec.Vector, shards int) error {
+// generation gen with op-sequence watermark seq: temp file, fsync,
+// rename, directory fsync. The reserved header field is written as 0.
+func writeSnapshot(dir string, gen Generation, seq uint64, pts []vec.Vector) error {
 	d := 0
 	if len(pts) > 0 {
 		d = pts[0].Dim()
@@ -164,8 +161,7 @@ func writeSnapshot(dir string, gen Generation, seq uint64, pts []vec.Vector, sha
 	le.PutUint64(payload[8:], seq)
 	le.PutUint32(payload[16:], uint32(len(pts)))
 	le.PutUint32(payload[20:], uint32(d))
-	le.PutUint32(payload[24:], uint32(shards))
-	off := 28
+	off := 28 // payload[24:28] is the reserved field, left 0
 	for _, p := range pts {
 		for _, x := range p {
 			le.PutUint64(payload[off:], math.Float64bits(x))
@@ -204,33 +200,34 @@ func writeSnapshot(dir string, gen Generation, seq uint64, pts []vec.Vector, sha
 	return syncDir(dir)
 }
 
-// readSnapshot loads and checksums one base snapshot file.
-func readSnapshot(path string) (gen Generation, seq uint64, pts []vec.Vector, shards int, err error) {
+// readSnapshot loads and checksums one base snapshot file. The reserved
+// header field is ignored: directories written when it held a shard
+// count open like any other.
+func readSnapshot(path string) (gen Generation, seq uint64, pts []vec.Vector, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, nil, 0, err
+		return 0, 0, nil, err
 	}
 	const headerLen = 28
 	if len(data) < len(snapMagic)+headerLen+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return 0, 0, nil, 0, fmt.Errorf("%s: not a snapshot file", path)
+		return 0, 0, nil, fmt.Errorf("%s: not a snapshot file", path)
 	}
 	le := binary.LittleEndian
 	payload := data[len(snapMagic) : len(data)-4]
 	sum := le.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, 0, nil, 0, fmt.Errorf("%s: checksum mismatch", path)
+		return 0, 0, nil, fmt.Errorf("%s: checksum mismatch", path)
 	}
 	gen = Generation(le.Uint64(payload[0:]))
 	seq = le.Uint64(payload[8:])
 	n := int(le.Uint32(payload[16:]))
 	d := int(le.Uint32(payload[20:]))
-	shards = int(le.Uint32(payload[24:]))
 	// Bound each factor by the payload before multiplying, so a corrupt
 	// (but CRC-colliding) header can neither overflow the size check nor
 	// drive a giant allocation.
 	rest := len(payload) - headerLen
 	if n <= 0 || d <= 0 || d > rest/8 || n != rest/(d*8) || rest%(d*8) != 0 {
-		return 0, 0, nil, 0, fmt.Errorf("%s: malformed shape n=%d d=%d (%d payload bytes)", path, n, d, len(payload))
+		return 0, 0, nil, fmt.Errorf("%s: malformed shape n=%d d=%d (%d payload bytes)", path, n, d, len(payload))
 	}
 	pts = make([]vec.Vector, n)
 	off := headerLen
@@ -242,7 +239,7 @@ func readSnapshot(path string) (gen Generation, seq uint64, pts []vec.Vector, sh
 		}
 		pts[i] = p
 	}
-	return gen, seq, pts, shards, nil
+	return gen, seq, pts, nil
 }
 
 // listSnapshots returns the directory's base snapshot paths, newest
@@ -354,8 +351,7 @@ func Open(cfg PersistConfig, boot []vec.Vector) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: open: empty directory needs a bootstrap dataset: %w", err)
 		}
-		s.shards = cfg.Shards
-		if err := writeSnapshot(cfg.Dir, 1, 0, own, s.shards); err != nil {
+		if err := writeSnapshot(cfg.Dir, 1, 0, own); err != nil {
 			return nil, fmt.Errorf("store: open: base snapshot: %w", err)
 		}
 		rs.pts, rs.gen = own, 1
@@ -366,7 +362,7 @@ func Open(cfg PersistConfig, boot []vec.Vector) (*Store, error) {
 		// atomic, so this is disk damage, not a crash artifact).
 		var firstErr error
 		for _, path := range snaps {
-			gen, seq, pts, shards, err := readSnapshot(path)
+			gen, seq, pts, err := readSnapshot(path)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -375,14 +371,6 @@ func Open(cfg PersistConfig, boot []vec.Vector) (*Store, error) {
 			}
 			rs.pts, rs.gen, rs.seq = pts, gen, seq
 			s.lastCompact = gen
-			// The persisted shard count wins, so a reopened dataset
-			// keeps its layout; an unsharded snapshot (count 0) adopts
-			// the opener's configuration and records it on the next
-			// compaction.
-			s.shards = shards
-			if s.shards == 0 {
-				s.shards = cfg.Shards
-			}
 			break
 		}
 		if rs.pts == nil {
@@ -570,7 +558,7 @@ func (s *Store) maintain() {
 
 	sealed := s.wal.sealedCount()
 	opsCovered := s.walOps
-	if err := writeSnapshot(s.cfg.Dir, snap.Gen, seq, snap.Scorer.Points(), s.shards); err != nil {
+	if err := writeSnapshot(s.cfg.Dir, snap.Gen, seq, snap.Scorer.Points()); err != nil {
 		setErr(fmt.Errorf("store: compact: snapshot: %w", err))
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -83,21 +82,9 @@ type Snapshot struct {
 // per-subset cache entries avoiding the dirty slots stay valid.
 // Whole-dataset ("all options active") entries are invalidated by any
 // op, since every op changes dataset membership.
-//
-// On a sharded store (Shards() > 1), ShardsTouched routes the batch to
-// the owning shards' invalidation paths: it lists, sorted and
-// deduplicated, every shard that gained or lost a dirty slot — the
-// shard of each dirty slot's old contents and of its new contents; an
-// insert touches exactly one shard. It is the batch-level routing
-// summary for consumers that track whole shards (replication,
-// metrics); the engine's caches deliberately re-derive routing from
-// Dirty per cached configuration, because a configuration's active set
-// restricts which of a batch's slots — and hence shards — actually
-// touch it.
 type Delta struct {
-	From, To      Generation
-	Dirty         []int
-	ShardsTouched []int
+	From, To Generation
+	Dirty    []int
 
 	// Kind classifies the batch so consumers can pick a repair strategy
 	// per delta: a pure-insert batch permits patch-on-insert cache
@@ -206,7 +193,6 @@ type Store struct {
 	lastCompact Generation // generation of the newest base snapshot (mu)
 	compactErr  error      // last failed maintenance cycle, retried on the next Apply (mu)
 	closed      bool
-	shards      int // shard count recorded in the snapshot metadata (0 = unsharded)
 
 	// Snapshot GC observability: finalizer-driven counters of scorer
 	// generations still reachable (the current one plus any pinned by
@@ -227,20 +213,13 @@ type gcCounters struct {
 // New builds an in-memory store over an initial dataset of options in
 // [0,1]^d, published as generation 1. The slice is copied; the vectors
 // are adopted as-is and must not be mutated afterwards. For a durable
-// store, use Open; for a sharded in-memory store, NewSharded.
+// store, use Open.
 func New(pts []vec.Vector) (*Store, error) {
-	return NewSharded(pts, 0)
-}
-
-// NewSharded is New recording a shard count: Apply then routes each
-// batch to the owning shards' invalidation paths via
-// Delta.ShardsTouched. shards <= 1 means unsharded.
-func NewSharded(pts []vec.Vector, shards int) (*Store, error) {
 	own, err := checkDataset(pts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{gc: &gcCounters{}, shards: shards}
+	s := &Store{gc: &gcCounters{}}
 	s.snap = Snapshot{Gen: 1, Scorer: s.track(topk.NewScorerAt(own, 1))}
 	s.initWritePath()
 	return s, nil
@@ -256,12 +235,6 @@ func (s *Store) initWritePath() {
 	s.tail.seq = s.seq
 	s.published = s.snap.Gen
 }
-
-// Shards reports the shard count the store records in its snapshot
-// metadata (0 = unsharded). For a durable store reopened from
-// disk this is the persisted layout, which wins over the opener's
-// configuration so a dataset keeps its sharding across restarts.
-func (s *Store) Shards() int { return s.shards }
 
 // CheckDataset validates an initial dataset — non-empty, consistent
 // dimensions, every component finite and in [0,1] — without adopting
@@ -447,31 +420,6 @@ func classifyBatch(ops []Op) DeltaKind {
 	return DeltaInsertOnly
 }
 
-// shardsTouched routes a batch's dirty slots to the shards whose state
-// they invalidate: the shard of each dirty slot's old contents and of
-// its new contents (sorted, deduplicated). nil when the store is
-// unsharded.
-func (s *Store) shardsTouched(old, pts []vec.Vector, dirty map[int]bool) []int {
-	if s.shards <= 1 {
-		return nil
-	}
-	set := make(map[int]bool, 2*len(dirty))
-	for slot := range dirty {
-		if slot < len(old) {
-			set[topk.ShardOfPoint(old[slot], s.shards)] = true
-		}
-		if slot < len(pts) {
-			set[topk.ShardOfPoint(pts[slot], s.shards)] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for sh := range set {
-		out = append(out, sh)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // publishLocked installs a built batch as generation gen: the new
 // snapshot becomes current and the pre-sequenced records enter the
 // bounded in-memory log. Callers hold mu and have already made the
@@ -491,8 +439,8 @@ func (s *Store) publishLocked(gen Generation, pts []vec.Vector, recs []AppliedOp
 // Apply applies a batch of ops atomically: either every op validates and
 // the batch publishes one new generation, or the store is unchanged and
 // the first offending op's error is returned. The returned Snapshot is
-// the new generation; the Delta lists the slots (and, on a sharded
-// store, the shards) incremental cache invalidation must drop. An empty
+// the new generation; the Delta lists the slots incremental cache
+// invalidation must drop. An empty
 // batch is a no-op returning the current snapshot.
 //
 // On a durable store the batch is encoded as one WAL record and — under
@@ -593,7 +541,7 @@ func (s *Store) Apply(ops []Op) (Snapshot, Delta, error) {
 	for i := range dirty {
 		dirtyList = append(dirtyList, i)
 	}
-	delta := Delta{From: gen - 1, To: gen, Dirty: dirtyList, ShardsTouched: s.shardsTouched(old, pts, dirty), Kind: classifyBatch(ops)}
+	delta := Delta{From: gen - 1, To: gen, Dirty: dirtyList, Kind: classifyBatch(ops)}
 	if delta.Kind == DeltaInsertOnly {
 		// Inserts land at the tail in op order: the new slots are exactly
 		// [oldLen, newLen), ascending — AdvanceInsert's contract.

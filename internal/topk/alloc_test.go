@@ -48,21 +48,6 @@ func TestAllocsWarmCacheLookup(t *testing.T) {
 	}
 }
 
-func TestAllocsWarmShardedCacheLookup(t *testing.T) {
-	skipUnderRace(t)
-	c := NewShardedCache(NewScorer(allocDataset(500, 4, 2)), 10, nil, 4, 0, nil)
-	w := vec.Of(0.3, 0.25, 0.2)
-	c.Get(w) // warm the per-shard partials and the merged memo
-	allocs := testing.AllocsPerRun(100, func() {
-		if r := c.Get(w); r == nil {
-			t.Fatal("nil result")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm sharded Cache.Get allocates %.1f per run, want 0", allocs)
-	}
-}
-
 // TestScoreIntoMatchesScorePoint pins the SoA scoring path to the
 // scalar reference bit for bit, for both full-dataset and member-subset
 // scoring.

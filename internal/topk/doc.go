@@ -40,19 +40,4 @@
 // Both the per-cache vertex count and the interned-configuration count
 // are bounded (SetLimits); past a limit, work is computed without being
 // retained and surfaces as Evictions rather than unbounded memory.
-//
-// # The sharded evaluation plane
-//
-// A sharded registry (NewShardedRegistry) splits every configuration
-// into S stable shards by hashing option *contents* (stable under the
-// store's swap-delete), each shard with its own memo, lock and slice of
-// the entry budget; lookups merge per-shard partial results into
-// exactly the unsharded top-k (shard.go proves the argument). Advance
-// then invalidates per shard instead of per configuration: the
-// registry swaps in a successor cache whose affected shards start
-// fresh while unaffected shard memos carry forward by pointer — and
-// in-flight solves pinned to the old generation keep the old object,
-// whose affected shards still hold old-generation state. An insert
-// costs one shard of a whole-dataset configuration instead of the
-// whole configuration.
 package topk

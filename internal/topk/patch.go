@@ -8,12 +8,11 @@ package topk
 // is repaired exactly by scoring *only the inserted options* at the
 // memoized vertex and splicing the winners into the ranked list:
 // O(entries × inserts) scalar scores per advance, instead of the
-// drop-and-recompute path's O(entries × shard) rescore on the next
-// warm-up.
+// drop-and-recompute path's O(entries × n) rescore on the next warm-up.
 //
-// Bit-identity argument: a recompute over the grown dataset sorts all
-// options under the (score desc, index asc) comparator. Relative to the
-// old generation's sort, the surviving entries keep their exact order
+// Bit-identity argument: a recompute over the grown dataset ranks all
+// options under the (score desc, index asc) order. Relative to the old
+// generation's ranking, the surviving entries keep their exact order
 // (their scores and indices are untouched), and each inserted option
 // lands at its comparator position — with ties resolving against it
 // relative to every pre-existing option, since inserted slots are
@@ -32,30 +31,26 @@ import "toprr/internal/vec"
 // option, so every standing result region derived from these caches is
 // untouched by the batch.
 type PatchSummary struct {
-	Configs       int  // patchable (whole-dataset) configurations processed
-	Entries       int  // memo entries examined (unsharded results + shard partials)
-	Patched       int  // entries changed by splicing an inserted option in
-	MergedDropped int  // sharded merged results dropped because a constituent partial changed
-	Fallback      bool // delta broke the pure-insert contract; the drop path ran instead
+	Configs  int  // patchable (whole-dataset) configurations processed
+	Entries  int  // memo entries examined
+	Patched  int  // entries changed by splicing an inserted option in
+	Fallback bool // delta broke the pure-insert contract; the drop path ran instead
 }
 
 // Changed reports whether any memoized entry changed under the patch.
 // It is a pure patch-plane observation — NOT a safe suppression signal:
-// a Fallback summary dropped memos wholesale with Patched == 0, and a
-// sharded advance can drop merged results it cannot vouch for without
-// patching anything. Consumers that skip work when "nothing changed"
-// (the notification hub) must use MaybeChanged.
+// a Fallback summary dropped memos wholesale with Patched == 0.
+// Consumers that skip work when "nothing changed" (the notification
+// hub) must use MaybeChanged.
 func (s PatchSummary) Changed() bool { return s.Patched > 0 }
 
 // MaybeChanged is the conservative region-delta signal: false proves no
-// memoized top-k state moved under the advance — no entry was patched,
-// no merged result was dropped, and the pure-insert contract held (no
-// fallback to the drop path). Only a false MaybeChanged licenses a
-// standing-query plane to suppress re-evaluation; the three true cases
-// each admit a region change Changed() would miss.
-func (s PatchSummary) MaybeChanged() bool {
-	return s.Patched > 0 || s.MergedDropped > 0 || s.Fallback
-}
+// memoized top-k state moved under the advance — no entry was patched
+// and the pure-insert contract held (no fallback to the drop path).
+// Only a false MaybeChanged licenses a standing-query plane to suppress
+// re-evaluation; the fallback case admits a region change Changed()
+// would miss.
+func (s PatchSummary) MaybeChanged() bool { return s.Patched > 0 || s.Fallback }
 
 // splicePos returns the comparator position of (slot, s) in a ranked
 // entry list — the index before which it belongs under the shared
@@ -113,46 +108,11 @@ func spliceResult(r *Result, w vec.Vector, sc *Scorer, inserted []int, k int) (*
 	return newResult(ord, scs), true
 }
 
-// splicePartial is spliceResult for one shard's partial. A partial
-// holds min(k, |members|) entries, so while it is below k every insert
-// routed to its shard must enter (the partial ranks *all* members), not
-// only the ones that beat the current tail.
-func splicePartial(p *partial, sc *Scorer, inserted []int, k int) (*partial, bool) {
-	var np *partial
-	for _, slot := range inserted {
-		s := ScorePoint(p.w, sc.Point(slot))
-		cur := p
-		if np != nil {
-			cur = np
-		}
-		pos := splicePos(cur.idx, cur.scores, slot, s)
-		if pos == len(cur.idx) && len(cur.idx) >= k {
-			continue
-		}
-		if np == nil {
-			room := len(p.idx) + len(inserted)
-			if room > k {
-				room = k
-			}
-			np = &partial{
-				idx:    append(make([]int, 0, room), p.idx...),
-				scores: append(make([]float64, 0, room), p.scores...),
-				w:      p.w,
-			}
-		}
-		np.idx, np.scores = spliceAt(np.idx, np.scores, k, pos, slot, s)
-	}
-	if np == nil {
-		return p, false
-	}
-	return np, true
-}
-
-// patchAdvance builds this unsharded whole-dataset cache's successor
-// for a pure-insert generation, patching every memoized entry in place
-// of recomputation. Successor-object pattern as in cloneAdvance:
-// in-flight solves pinned to the old generation keep this object
-// untouched, and entries no insert cracked are shared by pointer. The
+// patchAdvance builds this whole-dataset cache's successor for a
+// pure-insert generation, patching every memoized entry in place of
+// recomputation. The successor is a new object: in-flight solves pinned
+// to the old generation keep this one untouched, and entries no insert
+// cracked are shared by pointer. The
 // eviction counter is carried so Registry.Evictions stays monotone when
 // this object retires.
 func (c *Cache) patchAdvance(sc *Scorer, inserted []int) (*Cache, PatchSummary) {
@@ -173,100 +133,6 @@ func (c *Cache) patchAdvance(sc *Scorer, inserted []int) (*Cache, PatchSummary) 
 	return next, sum
 }
 
-// patchAdvanceSharded is patchAdvance for a sharded cache. byShard
-// routes the inserted slots to their owning shards (indexed by shard
-// id); a shard no insert landed in is shared by pointer exactly like
-// cloneAdvance's unaffected shards, a shard with inserts gets a patched
-// copy of its memo with the inserts appended to its member list.
-//
-// Merged results are carried when provably still exact: a key whose
-// partial changed in any patched shard is dropped (the merge is stale),
-// and a key absent from a patched shard's memo cannot be vouched for
-// and is dropped too — its next lookup re-merges from the patched
-// partials, recomputing nothing. Keys verified unchanged in every
-// patched shard merge to the identical Result and are kept.
-func (c *Cache) patchAdvanceSharded(sc *Scorer, byShard [][]int) (*Cache, PatchSummary) {
-	var sum PatchSummary
-	memos := make([]*shardMemo, len(c.sh.memos))
-	var changed map[uint64]bool
-	for i, sm := range c.sh.memos {
-		ins := byShard[i]
-		if len(ins) == 0 {
-			sm.mu.Lock()
-			sm.scorer = sc
-			sm.mu.Unlock()
-			memos[i] = sm
-			continue
-		}
-		sm.mu.Lock()
-		members := make([]int, 0, len(sm.members)+len(ins))
-		members = append(append(members, sm.members...), ins...)
-		nm := make(map[uint64]*partial, len(sm.m))
-		for key, p := range sm.m {
-			sum.Entries++
-			np, ch := splicePartial(p, sc, ins, c.k)
-			if ch {
-				sum.Patched++
-				if changed == nil {
-					changed = make(map[uint64]bool)
-				}
-				changed[key] = true
-			}
-			nm[key] = np
-		}
-		// Counters carry into the successor: the patched memo is the
-		// same shard's state repaired, not a cold restart, so ShardStats
-		// and Evictions stay monotone when the old object retires.
-		memos[i] = &shardMemo{
-			scorer:    sc,
-			members:   members,
-			m:         nm,
-			limit:     sm.limit,
-			hits:      sm.hits,
-			misses:    sm.misses,
-			evictions: sm.evictions,
-		}
-		sm.mu.Unlock()
-	}
-
-	c.sh.mergedMu.RLock()
-	merged := make(map[uint64]*Result, len(c.sh.merged))
-outer:
-	for key, r := range c.sh.merged {
-		if changed[key] {
-			sum.MergedDropped++
-			continue
-		}
-		for i := range memos {
-			if len(byShard[i]) == 0 {
-				continue
-			}
-			// Patched memos are private until this cache is published,
-			// so reading them lock-free here is safe.
-			if _, ok := memos[i].m[key]; !ok {
-				sum.MergedDropped++
-				continue outer
-			}
-		}
-		merged[key] = r
-	}
-	c.sh.mergedMu.RUnlock()
-
-	c.mu.Lock()
-	ev := c.evictions
-	c.mu.Unlock()
-	return &Cache{
-		scorer:    sc,
-		k:         c.k,
-		evictions: ev,
-		sh: &sharded{
-			memos:       memos,
-			merged:      merged,
-			mergedLimit: c.sh.mergedLimit,
-		},
-	}, sum
-}
-
 // AdvanceInsert moves the registry to a new dataset generation produced
 // by a pure-insert batch, repairing interned caches instead of the
 // dropping Advance performs. inserted must be exactly the new tail
@@ -276,7 +142,7 @@ outer:
 //
 // Explicit-active configurations only rebind — an insert cannot touch
 // their members. Whole-dataset configurations are patched entry by
-// entry (see spliceResult / splicePartial). The returned summary is the
+// entry (see spliceResult). The returned summary is the
 // region-delta signal described on PatchSummary.
 func (r *Registry) AdvanceInsert(sc *Scorer, inserted []int) PatchSummary {
 	r.mu.Lock()
@@ -296,18 +162,6 @@ func (r *Registry) AdvanceInsert(sc *Scorer, inserted []int) PatchSummary {
 		return PatchSummary{Fallback: true}
 	}
 
-	var byShard [][]int
-	if r.shards > 1 {
-		// Grow the slot-to-shard map in place (amortized): no existing
-		// slot changes hands under a pure insert.
-		byShard = make([][]int, r.shards)
-		for _, s := range inserted {
-			sh := ShardOfPoint(sc.Point(s), r.shards)
-			r.assign = append(r.assign, uint8(sh))
-			byShard[sh] = append(byShard[sh], s)
-		}
-	}
-
 	var sum PatchSummary
 	for key, c := range r.m {
 		if c.active != nil {
@@ -315,19 +169,12 @@ func (r *Registry) AdvanceInsert(sc *Scorer, inserted []int) PatchSummary {
 			continue
 		}
 		sum.Configs++
-		var next *Cache
-		var s PatchSummary
-		if c.sh != nil {
-			next, s = c.patchAdvanceSharded(sc, byShard)
-		} else {
-			next, s = c.patchAdvance(sc, inserted)
-		}
+		next, s := c.patchAdvance(sc, inserted)
 		h, m := c.Stats()
 		r.retiredHits += h
 		r.retiredMisses += m
 		sum.Entries += s.Entries
 		sum.Patched += s.Patched
-		sum.MergedDropped += s.MergedDropped
 		r.m[key] = next
 	}
 	r.scorer = sc

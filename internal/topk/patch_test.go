@@ -2,15 +2,13 @@ package topk
 
 // The randomized patch-vs-recompute oracle (ISSUE 7 / ROADMAP item 3):
 // random mutation sequences — pure-insert batches routed through
-// AdvanceInsert, deletes/updates/mixed batches through Advance — at
-// shard counts 1, 2, 3 and 8, asserting after every advance that each
+// AdvanceInsert, deletes/updates/mixed batches through Advance —
+// asserting after every advance that each
 // memoized entry served by the patched caches is bit-identical (order,
 // tie-breaks, every score) to a fresh recompute over the new
 // generation. Runs under -race in CI alongside the rest of the package.
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,16 +39,20 @@ func swapDelete(pts []vec.Vector, i int) ([]vec.Vector, []int) {
 }
 
 func TestPatchAdvanceOracle(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 8} {
-		shards := shards
-		t.Run(map[int]string{1: "S1", 2: "S2", 3: "S3", 8: "S8"}[shards], func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(40 + shards)))
+	// The rows once also varied the shard count; they keep their names
+	// and seeds so that no dataset the oracle covered is lost.
+	for _, row := range []struct {
+		name string
+		seed int64
+	}{{"S1", 41}, {"S2", 42}, {"S3", 43}, {"S8", 48}} {
+		t.Run(row.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(row.seed))
 			const k = 6
 			n, d := 80, 4
 			pts := randomPts(rng, n, d)
 			gen := uint64(1)
 			sc := NewScorerAt(append([]vec.Vector(nil), pts...), gen)
-			reg := NewShardedRegistry(sc, shards)
+			reg := NewRegistry(sc)
 			cache := reg.Get(k, nil)
 
 			verts := make([]vec.Vector, 12)
@@ -59,18 +61,13 @@ func TestPatchAdvanceOracle(t *testing.T) {
 			}
 			warm := func() {
 				for _, w := range verts {
-					if _, _, err := cache.LookupCtx(context.Background(), w, nil); err != nil {
-						t.Fatal(err)
-					}
+					cache.Get(w)
 				}
 			}
 			check := func(round int) {
 				oracle := NewScorer(append([]vec.Vector(nil), pts...))
 				for vi, w := range verts {
-					got, _, err := cache.LookupCtx(context.Background(), w, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := cache.Get(w)
 					want := oracle.TopK(w, k, nil)
 					if got.OrderKey() != want.OrderKey() || got.KthScore != want.KthScore {
 						t.Fatalf("round %d vertex %d: got %v (kth %v), want %v (kth %v)",
@@ -136,60 +133,58 @@ func TestPatchAdvanceOracle(t *testing.T) {
 			if pins == 0 {
 				t.Error("no inserts went through the patch path")
 			}
-			t.Logf("shards=%d: patched %d entries over %d patch-inserted options", shards, patched, pins)
+			t.Logf("patched %d entries over %d patch-inserted options", patched, pins)
 		})
 	}
 }
 
 // TestPatchAdvanceUntouchedInsert: an insert that cracks no memoized
 // top-k (a dominated option scoring below every memoized k-th) patches
-// nothing, drops nothing — entry count unchanged, merged results kept,
-// post-advance lookups all hits — and reports Changed() == false: the
-// region-delta signal that every standing result survived the batch.
+// nothing, drops nothing — entry count unchanged, post-advance lookups
+// all hits — and reports Changed() == false: the region-delta signal
+// that every standing result survived the batch.
 func TestPatchAdvanceUntouchedInsert(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		rng := rand.New(rand.NewSource(77))
-		const k, n, d = 5, 400, 4
-		pts := randomPts(rng, n, d)
-		sc1 := NewScorerAt(pts, 1)
-		reg := NewShardedRegistry(sc1, shards)
-		cache := reg.Get(k, nil)
-		for i := 0; i < 10; i++ {
-			cache.Get(patchOracleVertex(rng, d))
-		}
-		entries := cache.Len()
+	rng := rand.New(rand.NewSource(77))
+	const k, n, d = 5, 400, 4
+	pts := randomPts(rng, n, d)
+	sc1 := NewScorerAt(pts, 1)
+	reg := NewRegistry(sc1)
+	cache := reg.Get(k, nil)
+	for i := 0; i < 10; i++ {
+		cache.Get(patchOracleVertex(rng, d))
+	}
+	entries := cache.Len()
 
-		// The all-zeros option scores 0 under every weight vector while
-		// every random option scores positive: it can crack no top-k.
-		pts2 := append(append([]vec.Vector(nil), pts...), vec.New(d))
-		sc2 := NewScorerAt(pts2, 2)
-		sum := reg.AdvanceInsert(sc2, []int{n})
-		if sum.Changed() || sum.Patched != 0 {
-			t.Fatalf("shards=%d: dominated insert reported changes: %+v", shards, sum)
+	// The all-zeros option scores 0 under every weight vector while
+	// every random option scores positive: it can crack no top-k.
+	pts2 := append(append([]vec.Vector(nil), pts...), vec.New(d))
+	sc2 := NewScorerAt(pts2, 2)
+	sum := reg.AdvanceInsert(sc2, []int{n})
+	if sum.Changed() || sum.Patched != 0 {
+		t.Fatalf("dominated insert reported changes: %+v", sum)
+	}
+	if sum.Fallback {
+		t.Fatal("pure insert fell back")
+	}
+	cache = reg.Get(k, nil)
+	if got := cache.Len(); got != entries {
+		t.Errorf("entry count %d -> %d; an untouched advance must drop zero entries", entries, got)
+	}
+	// The successor starts its hit/miss counters fresh (the retired
+	// object's fold into Registry.Stats); what matters is that every
+	// warm vertex still serves from memory — zero new misses.
+	rng = rand.New(rand.NewSource(77)) // replay the same vertices
+	_ = randomPts(rng, n, d)
+	for i := 0; i < 10; i++ {
+		if _, hit := cache.Lookup(patchOracleVertex(rng, d)); !hit {
+			t.Error("warm vertex missed after untouched advance")
 		}
-		if sum.Fallback {
-			t.Fatalf("shards=%d: pure insert fell back", shards)
-		}
-		cache = reg.Get(k, nil)
-		if got := cache.Len(); got != entries {
-			t.Errorf("shards=%d: entry count %d -> %d; an untouched advance must drop zero entries", shards, entries, got)
-		}
-		// The successor starts its hit/miss counters fresh (the retired
-		// object's fold into Registry.Stats); what matters is that every
-		// warm vertex still serves from memory — zero new misses.
-		rng = rand.New(rand.NewSource(77)) // replay the same vertices
-		_ = randomPts(rng, n, d)
-		for i := 0; i < 10; i++ {
-			if _, hit := cache.Lookup(patchOracleVertex(rng, d)); !hit {
-				t.Errorf("shards=%d: warm vertex missed after untouched advance", shards)
-			}
-		}
-		if _, misses := cache.Stats(); misses != 0 {
-			t.Errorf("shards=%d: %d misses after untouched advance, want 0", shards, misses)
-		}
-		if _, _, untouched := reg.PatchStats(); untouched != 1 {
-			t.Errorf("shards=%d: untouchedAdvances = %d, want 1", shards, untouched)
-		}
+	}
+	if _, misses := cache.Stats(); misses != 0 {
+		t.Errorf("%d misses after untouched advance, want 0", misses)
+	}
+	if _, _, untouched := reg.PatchStats(); untouched != 1 {
+		t.Errorf("untouchedAdvances = %d, want 1", untouched)
 	}
 }
 
@@ -197,40 +192,38 @@ func TestPatchAdvanceUntouchedInsert(t *testing.T) {
 // after AdvanceInsert the retired cache object keeps answering solves
 // pinned to the old generation with old-generation results.
 func TestPatchAdvancePinnedOldGeneration(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		rng := rand.New(rand.NewSource(9))
-		const k, n, d = 4, 60, 4
-		pts := randomPts(rng, n, d)
-		sc1 := NewScorerAt(pts, 1)
-		reg := NewShardedRegistry(sc1, shards)
-		old := reg.Get(k, nil)
-		w := patchOracleVertex(rng, d)
-		old.Get(w)
+	rng := rand.New(rand.NewSource(9))
+	const k, n, d = 4, 60, 4
+	pts := randomPts(rng, n, d)
+	sc1 := NewScorerAt(pts, 1)
+	reg := NewRegistry(sc1)
+	old := reg.Get(k, nil)
+	w := patchOracleVertex(rng, d)
+	old.Get(w)
 
-		// Insert an option that certainly cracks every top-k: near the
-		// all-ones corner it dominates the random points.
-		best := vec.New(d)
-		for j := range best {
-			best[j] = 0.999
-		}
-		pts2 := append(append([]vec.Vector(nil), pts...), best)
-		sc2 := NewScorerAt(pts2, 2)
-		sum := reg.AdvanceInsert(sc2, []int{n})
-		if !sum.Changed() {
-			t.Fatalf("shards=%d: dominant insert patched nothing", shards)
-		}
+	// Insert an option that certainly cracks every top-k: near the
+	// all-ones corner it dominates the random points.
+	best := vec.New(d)
+	for j := range best {
+		best[j] = 0.999
+	}
+	pts2 := append(append([]vec.Vector(nil), pts...), best)
+	sc2 := NewScorerAt(pts2, 2)
+	sum := reg.AdvanceInsert(sc2, []int{n})
+	if !sum.Changed() {
+		t.Fatal("dominant insert patched nothing")
+	}
 
-		oldWant := sc1.TopK(w, k, nil)
-		if got := old.Get(w); got.OrderKey() != oldWant.OrderKey() {
-			t.Errorf("shards=%d: pinned old cache: got %v, want %v", shards, got.Ordered, oldWant.Ordered)
-		}
-		newWant := sc2.TopK(w, k, nil)
-		if got := reg.Get(k, nil).Get(w); got.OrderKey() != newWant.OrderKey() {
-			t.Errorf("shards=%d: patched cache: got %v, want %v", shards, got.Ordered, newWant.Ordered)
-		}
-		if newWant.Ordered[0] != n {
-			t.Fatalf("test setup: dominant option not ranked first (%v)", newWant.Ordered)
-		}
+	oldWant := sc1.TopK(w, k, nil)
+	if got := old.Get(w); got.OrderKey() != oldWant.OrderKey() {
+		t.Errorf("pinned old cache: got %v, want %v", got.Ordered, oldWant.Ordered)
+	}
+	newWant := sc2.TopK(w, k, nil)
+	if got := reg.Get(k, nil).Get(w); got.OrderKey() != newWant.OrderKey() {
+		t.Errorf("patched cache: got %v, want %v", got.Ordered, newWant.Ordered)
+	}
+	if newWant.Ordered[0] != n {
+		t.Fatalf("test setup: dominant option not ranked first (%v)", newWant.Ordered)
 	}
 }
 
@@ -265,7 +258,7 @@ func TestAdvanceInsertFallback(t *testing.T) {
 
 // TestAllocsNoopRegistryAdvance gates the satellite fix: a pure-insert
 // delta (all dirty slots at or beyond the old length) reaching an
-// unsharded registry holding only explicit-active configurations is a
+// registry holding only explicit-active configurations is a
 // no-op advance — rebind the survivors, swap the scorer — and must not
 // allocate at all.
 func TestAllocsNoopRegistryAdvance(t *testing.T) {
@@ -302,8 +295,7 @@ func TestAllocsNoopRegistryAdvance(t *testing.T) {
 
 // TestAllocsAdvanceInsertExplicitOnly: AdvanceInsert over a registry
 // with no patchable configuration is the same no-op and likewise must
-// not allocate (unsharded plane; the sharded plane's assignment growth
-// is amortized-append).
+// not allocate.
 func TestAllocsAdvanceInsertExplicitOnly(t *testing.T) {
 	skipUnderRace(t)
 	const runs = 100
@@ -334,8 +326,7 @@ func TestAllocsAdvanceInsertExplicitOnly(t *testing.T) {
 
 // TestMaybeChangedFallbackHazard pins the fallback hazard fix (ISSUE
 // 8): a summary whose advance dropped memos without splicing anything —
-// fallback to the drop path, or merged results discarded with zero
-// patches — reports Changed() false, so a notification plane keying
+// a fallback to the drop path — reports Changed() false, so a notification plane keying
 // suppression off Changed() would provably miss updates. MaybeChanged
 // must be true in every such case, and false only for the genuinely
 // inert advance.
@@ -347,7 +338,6 @@ func TestMaybeChangedFallbackHazard(t *testing.T) {
 	}{
 		{"inert", PatchSummary{Configs: 2, Entries: 9}, false},
 		{"patched", PatchSummary{Entries: 4, Patched: 1}, true},
-		{"merged-dropped-only", PatchSummary{Entries: 4, MergedDropped: 2}, true},
 		{"fallback", PatchSummary{Fallback: true}, true},
 	}
 	for _, c := range cases {
@@ -384,33 +374,17 @@ func TestMaybeChangedFallbackHazard(t *testing.T) {
 
 // economyScored replays the vertices against the registry's current
 // whole-dataset (k, nil) cache and returns the options scored to serve
-// them, zero when every lookup hits, with each answer's order key.
-// Sharded caches attribute scoring through a ShardAccum; an unsharded
+// them, zero when every lookup hits, with each answer's order key. A
 // miss rescores the whole dataset.
-func economyScored(t *testing.T, reg *Registry, ws []vec.Vector, k, shards, n int) (scored int, keys []string) {
-	t.Helper()
+func economyScored(reg *Registry, ws []vec.Vector, k, n int) (scored int, keys []string) {
 	c := reg.Get(k, nil)
 	keys = make([]string, len(ws))
-	if shards == 1 {
-		for i, w := range ws {
-			r, hit := c.Lookup(w)
-			if !hit {
-				scored += n
-			}
-			keys[i] = r.OrderKey()
-		}
-		return scored, keys
-	}
-	acc := NewShardAccum(shards)
 	for i, w := range ws {
-		r, _, err := c.LookupCtx(context.Background(), w, acc)
-		if err != nil {
-			t.Fatalf("lookup: %v", err)
+		r, hit := c.Lookup(w)
+		if !hit {
+			scored += n
 		}
 		keys[i] = r.OrderKey()
-	}
-	for i := range acc.Scored {
-		scored += int(acc.Scored[i].Load())
 	}
 	return scored, keys
 }
@@ -432,7 +406,7 @@ func TestPatchInsertEconomy(t *testing.T) {
 		ratioFloor = 5
 	)
 	if testing.Short() {
-		t.Skip("re-warms four 20000-option registries")
+		t.Skip("re-warms two 20000-option registries")
 	}
 	d := 4
 	base := dataset.Generate(dataset.Independent, 20000, d, 7).Pts
@@ -441,76 +415,71 @@ func TestPatchInsertEconomy(t *testing.T) {
 	for i := range ws {
 		ws[i] = patchOracleVertex(wrng, d)
 	}
-	insRng := rand.New(rand.NewSource(72))
+	insSeed := rand.New(rand.NewSource(72)).Int63()
 
-	for _, shards := range []int{1, 2, 4, 8} {
-		insSeed := insRng.Int63()
-		t.Run(fmt.Sprintf("S%d", shards), func(t *testing.T) {
-			sc0 := NewScorerAt(base, 1)
-			regPatch := NewShardedRegistry(sc0, shards)
-			regCold := NewShardedRegistry(sc0, shards)
-			for _, reg := range []*Registry{regPatch, regCold} {
-				c := reg.Get(k, nil)
-				for _, w := range ws {
-					c.Get(w)
-				}
-			}
+	sc0 := NewScorerAt(base, 1)
+	regPatch := NewRegistry(sc0)
+	regCold := NewRegistry(sc0)
+	for _, reg := range []*Registry{regPatch, regCold} {
+		c := reg.Get(k, nil)
+		for _, w := range ws {
+			c.Get(w)
+		}
+	}
 
-			// Each examined entry scores the one inserted option, so the
-			// patch side's advance work is PatchSummary.Entries per insert.
-			pts := base
-			patchScored := 0
-			rng := rand.New(rand.NewSource(insSeed))
-			for b := 0; b < inserts; b++ {
-				p := vec.New(d)
-				for j := range p {
-					p[j] = rng.Float64()
-				}
-				pts = append(pts[:len(pts):len(pts)], p)
-				scn := NewScorerAt(pts, uint64(2+b))
-				slot := []int{len(pts) - 1}
-				sum := regPatch.AdvanceInsert(scn, slot)
-				if sum.Fallback {
-					t.Fatal("patch advance fell back to drop")
-				}
-				patchScored += sum.Entries * len(slot)
-				regCold.Advance(scn, slot)
-			}
-			rewarm, patchKeys := economyScored(t, regPatch, ws, k, shards, len(pts))
-			patchScored += rewarm
-			coldScored, coldKeys := economyScored(t, regCold, ws, k, shards, len(pts))
-			for i := range patchKeys {
-				if patchKeys[i] != coldKeys[i] {
-					t.Fatalf("vertex %d: patched and recomputed rankings diverge", i)
-				}
-			}
-			t.Logf("options scored to re-warm: patch %d, cold %d", patchScored, coldScored)
-			if patchScored == 0 {
-				t.Fatal("no memo entries exercised")
-			}
-			if patchScored > maxScored {
-				t.Errorf("patch side scored %d options, limit %d", patchScored, maxScored)
-			}
-			if ratio := float64(coldScored) / float64(patchScored); ratio < ratioFloor {
-				t.Errorf("scored ratio %.1f (cold %d / patch %d) below the %dx floor", ratio, coldScored, patchScored, ratioFloor)
-			}
+	// Each examined entry scores the one inserted option, so the patch
+	// side's advance work is PatchSummary.Entries per insert.
+	pts := base
+	patchScored := 0
+	rng := rand.New(rand.NewSource(insSeed))
+	for b := 0; b < inserts; b++ {
+		p := vec.New(d)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		pts = append(pts[:len(pts):len(pts)], p)
+		scn := NewScorerAt(pts, uint64(2+b))
+		slot := []int{len(pts) - 1}
+		sum := regPatch.AdvanceInsert(scn, slot)
+		if sum.Fallback {
+			t.Fatal("patch advance fell back to drop")
+		}
+		patchScored += sum.Entries * len(slot)
+		regCold.Advance(scn, slot)
+	}
+	rewarm, patchKeys := economyScored(regPatch, ws, k, len(pts))
+	patchScored += rewarm
+	coldScored, coldKeys := economyScored(regCold, ws, k, len(pts))
+	for i := range patchKeys {
+		if patchKeys[i] != coldKeys[i] {
+			t.Fatalf("vertex %d: patched and recomputed rankings diverge", i)
+		}
+	}
+	t.Logf("options scored to re-warm: patch %d, cold %d", patchScored, coldScored)
+	if patchScored == 0 {
+		t.Fatal("no memo entries exercised")
+	}
+	if patchScored > maxScored {
+		t.Errorf("patch side scored %d options, limit %d", patchScored, maxScored)
+	}
+	if ratio := float64(coldScored) / float64(patchScored); ratio < ratioFloor {
+		t.Errorf("scored ratio %.1f (cold %d / patch %d) below the %dx floor", ratio, coldScored, patchScored, ratioFloor)
+	}
 
-			evBefore := regPatch.Evictions()
-			pts = append(pts[:len(pts):len(pts)], vec.New(d))
-			sum := regPatch.AdvanceInsert(NewScorerAt(pts, 2+inserts), []int{len(pts) - 1})
-			if sum.Entries == 0 {
-				t.Error("untouched insert examined no entries")
-			}
-			if sum.Changed() {
-				t.Error("untouched insert patched an entry")
-			}
-			drops := sum.MergedDropped + regPatch.Evictions() - evBefore
-			if again, _ := economyScored(t, regPatch, ws, k, shards, len(pts)); again != 0 {
-				drops += again
-			}
-			if drops != 0 {
-				t.Errorf("untouched insert dropped %d entries", drops)
-			}
-		})
+	evBefore := regPatch.Evictions()
+	pts = append(pts[:len(pts):len(pts)], vec.New(d))
+	sum := regPatch.AdvanceInsert(NewScorerAt(pts, 2+inserts), []int{len(pts) - 1})
+	if sum.Entries == 0 {
+		t.Error("untouched insert examined no entries")
+	}
+	if sum.Changed() {
+		t.Error("untouched insert patched an entry")
+	}
+	drops := regPatch.Evictions() - evBefore
+	if again, _ := economyScored(regPatch, ws, k, len(pts)); again != 0 {
+		drops += again
+	}
+	if drops != 0 {
+		t.Errorf("untouched insert dropped %d entries", drops)
 	}
 }

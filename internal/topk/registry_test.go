@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math/rand"
 	"testing"
 
 	"toprr/internal/vec"
@@ -142,5 +143,25 @@ func TestRegistryLimits(t *testing.T) {
 	}
 	if a.Evictions() != 1 {
 		t.Errorf("entry-cap refusal not counted: %d", a.Evictions())
+	}
+}
+
+// TestRegistryDropsTruncatedConfigs: deleting the last option truncates
+// its slot away, so an explicit configuration referencing that slot
+// must be dropped.
+func TestRegistryDropsTruncatedConfigs(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	pts := randomPts(rng, 10, 3)
+	sc1 := NewScorerAt(pts, 1)
+	reg := NewRegistry(sc1)
+
+	last := len(pts) - 1
+	reg.Get(2, []int{0, 3, last}).Get(vec.Of(0.3, 0.3))
+
+	pts2 := append([]vec.Vector(nil), pts[:last]...)
+	sc2 := NewScorerAt(pts2, 2)
+	reg.Advance(sc2, []int{last})
+	if reg.Len() != 0 {
+		t.Fatalf("config referencing a truncated slot survived (configs=%d)", reg.Len())
 	}
 }

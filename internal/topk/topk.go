@@ -1,8 +1,8 @@
 package topk
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -205,71 +205,121 @@ func joinInts(ix []int) string {
 	return b.String()
 }
 
-// scored pairs an option index with its score for sorting.
+// scored pairs an option index with its score for selection.
 type scored struct {
 	idx   int
 	score float64
 }
 
+// better is the top-k order: score descending, then index ascending, so
+// results are deterministic under ties.
+func better(a, b scored) bool {
+	return a.score > b.score || (a.score == b.score && a.idx < b.idx)
+}
+
 // sortScratch bundles the transient buffers of one top-k computation,
-// recycled through sortPool. Ownership rule: leased by exactly one
-// TopK/computePartial call from Get until Put — no reference into its
-// buffers may survive the Put (results copy what they keep).
+// recycled through sortPool. Ownership rule: leased by exactly one TopK
+// call from Get until Put — no reference into its buffers may survive
+// the Put (results copy what they keep).
 type sortScratch struct {
-	all    []scored
+	heap   []scored
 	scores []float64
 }
 
 var sortPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
-func (ss *sortScratch) for_(n int) ([]scored, []float64) {
-	if cap(ss.all) < n {
-		ss.all = make([]scored, n)
+// for_ sizes the scratch for a selection of k out of n options.
+func (ss *sortScratch) for_(k, n int) ([]scored, []float64) {
+	if cap(ss.heap) < k {
+		ss.heap = make([]scored, k)
 	}
 	if cap(ss.scores) < n {
 		ss.scores = make([]float64, n)
 	}
-	ss.all, ss.scores = ss.all[:n], ss.scores[:n]
-	return ss.all, ss.scores
+	ss.heap, ss.scores = ss.heap[:0], ss.scores[:n]
+	return ss.heap, ss.scores
+}
+
+// siftDown restores the heap property below position i of a heap whose
+// root is its worst member under better.
+func siftDown(h []scored, i int) {
+	for {
+		worst, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && better(h[worst], h[l]) {
+			worst = l
+		}
+		if r < len(h) && better(h[worst], h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// siftUp moves position i of such a heap up to its place.
+func siftUp(h []scored, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !better(h[parent], h[i]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // TopK runs a top-k query at reduced weight vector w over the options
 // listed in active (indices into the dataset). When active is nil the
 // whole dataset is considered. It panics if fewer than k options are
 // available.
+//
+// Rank, the approximate-query fallback and every whole-dataset memo miss
+// pass the whole dataset, so the candidates are selected, not sorted: a
+// size-k heap whose root is the worst winner so far keeps the k best
+// under the (score desc, index asc) order in O(n log k), and only the k
+// winners are sorted. The order is total, so the winners and their
+// order are exactly those of a full sort.
 func (s *Scorer) TopK(w vec.Vector, k int, active []int) *Result {
 	n := len(active)
-	useAll := active == nil
-	if useAll {
+	if active == nil {
 		n = len(s.pts)
 	}
 	if k <= 0 || k > n {
 		panic(fmt.Sprintf("topk: k=%d out of range for %d options", k, n))
 	}
 	ss := sortPool.Get().(*sortScratch)
-	all, scores := ss.for_(n)
+	h, scores := ss.for_(k, n)
 	s.scoreInto(w, active, scores)
-	for i := 0; i < n; i++ {
-		idx := i
-		if !useAll {
-			idx = active[i]
+	for i, sc := range scores {
+		c := scored{idx: i, score: sc}
+		if active != nil {
+			c.idx = active[i]
 		}
-		all[i] = scored{idx: idx, score: scores[i]}
+		if len(h) < k {
+			h = append(h, c)
+			siftUp(h, len(h)-1)
+		} else if better(c, h[0]) {
+			h[0] = c
+			siftDown(h, 0)
+		}
 	}
-	// The filtered candidate sets TopRR works on are small (tens to a
-	// few hundred options), so a full sort is both simple and fast; ties
-	// break by ascending index so results are deterministic.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	slices.SortFunc(h, func(a, b scored) int {
+		switch {
+		case better(a, b):
+			return -1
+		case better(b, a):
+			return 1
 		}
-		return all[i].idx < all[j].idx
+		return 0
 	})
 	ordered := make([]int, k)
 	rsc := make([]float64, k)
-	for i := 0; i < k; i++ {
-		ordered[i] = all[i].idx
-		rsc[i] = all[i].score
+	for i, c := range h {
+		ordered[i] = c.idx
+		rsc[i] = c.score
 	}
 	r := newResult(ordered, rsc)
 	sortPool.Put(ss)
@@ -299,11 +349,6 @@ func newResult(ordered []int, scores []float64) *Result {
 // configuration; the TopRR recursion creates a fresh cache whenever
 // Lemma 5 changes the active set or k. It is safe for concurrent use —
 // the parallel solver shares one cache across its workers.
-//
-// A cache built by NewShardedCache runs in sharded mode (see shard.go):
-// the evaluation plane is split into per-shard memos with independent
-// locks, and lookups merge per-shard partials into the exact global
-// result. Sharded and unsharded caches return identical Results.
 type Cache struct {
 	scorer    *Scorer
 	k         int
@@ -313,8 +358,7 @@ type Cache struct {
 	m         map[uint64]memoEntry
 	hits      int
 	misses    int
-	evictions int      // results not memoized because the cache was full
-	sh        *sharded // non-nil: sharded evaluation plane (shard.go)
+	evictions int // results not memoized because the cache was full
 }
 
 // memoEntry pairs a memoized result with the vertex it was computed at.
@@ -369,28 +413,10 @@ func (c *Cache) Get(w vec.Vector) *Result {
 	return r
 }
 
-// LookupCtx is Lookup with context-aware sharded evaluation: in sharded
-// mode, missing per-shard partials are computed (concurrently when the
-// work is large), ctx cancellation stops unstarted sibling shards and
-// returns the context error, and acc (optional) receives per-shard work
-// attribution. For unsharded caches it is exactly Lookup — cancellation
-// between whole lookups is the driver's job there.
-func (c *Cache) LookupCtx(ctx context.Context, w vec.Vector, acc *ShardAccum) (*Result, bool, error) {
-	if c.sh != nil {
-		return c.lookupSharded(ctx, w, acc)
-	}
-	r, hit := c.Lookup(w)
-	return r, hit, nil
-}
-
 // Lookup is Get, additionally reporting whether the result was served
 // from the cache — so callers sharing a cache can attribute misses to
 // their own queries.
 func (c *Cache) Lookup(w vec.Vector) (*Result, bool) {
-	if c.sh != nil {
-		r, hit, _ := c.lookupSharded(context.Background(), w, nil)
-		return r, hit
-	}
 	if c.m == nil { // pass-through mode
 		c.mu.Lock()
 		c.misses++
@@ -428,9 +454,6 @@ func (c *Cache) Lookup(w vec.Vector) (*Result, bool) {
 }
 
 // Stats reports cache hits and misses (total queries = hits + misses).
-// A sharded cache counts at the merged-lookup level — a hit means every
-// shard served from memory — so the figures stay comparable with
-// unsharded caches.
 func (c *Cache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -438,34 +461,15 @@ func (c *Cache) Stats() (hits, misses int) {
 }
 
 // Evictions reports results the cache declined to memoize because it
-// was full; a sharded cache sums its shard memos' refusals and the
-// partials dropped by per-shard invalidation.
+// was full.
 func (c *Cache) Evictions() int {
 	c.mu.Lock()
-	n := c.evictions
-	c.mu.Unlock()
-	if c.sh != nil {
-		for _, sm := range c.sh.memos {
-			sm.mu.Lock()
-			n += sm.evictions
-			sm.mu.Unlock()
-		}
-	}
-	return n
+	defer c.mu.Unlock()
+	return c.evictions
 }
 
-// Len reports the number of memoized vertices (for a sharded cache, the
-// total memoized partials across shards).
+// Len reports the number of memoized vertices.
 func (c *Cache) Len() int {
-	if c.sh != nil {
-		n := 0
-		for _, sm := range c.sh.memos {
-			sm.mu.Lock()
-			n += len(sm.m)
-			sm.mu.Unlock()
-		}
-		return n
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
@@ -479,10 +483,6 @@ func (c *Cache) Len() int {
 // or a new-generation solve, is identical under both scorers, so the
 // same Cache object safely serves both sides.
 func (c *Cache) rebind(sc *Scorer) {
-	if c.sh != nil {
-		c.rebindSharded(sc)
-		return
-	}
 	c.mu.Lock()
 	c.scorer = sc
 	c.mu.Unlock()

@@ -69,7 +69,7 @@ func validatePref(snap Snapshot, w vec.Vector, k int) error {
 
 // ApproxRank bounds TopK(w) — the k-th highest score at reduced
 // preference w over the current dataset — from the sketch tier. When
-// the merged sketch's k-th monitored score exceeds the deterministic
+// the sketch's k-th monitored score exceeds the deterministic
 // upper bound on every unmonitored option, the monitored set provably
 // contains the true top k and the returned interval is the exact score
 // (Certified true); the warm certified path allocates nothing. When the
@@ -83,7 +83,7 @@ func (e *Engine) ApproxRank(w vec.Vector, k int) (Estimate, error) {
 	if err := validatePref(snap, w, k); err != nil {
 		return Estimate{}, err
 	}
-	if m := e.sketches.MergedFor(snap.Scorer); m != nil {
+	if m := e.sketches.For(snap.Scorer); m != nil {
 		if sk, ok := m.KthBest(w, k); ok {
 			if u := m.UpperUnmonitored(w); u+certSlack <= sk {
 				// Every unmonitored option scores below the k-th monitored
@@ -122,7 +122,7 @@ func (e *Engine) ApproxImpact(q ImpactQuery) (Estimate, error) {
 		return Estimate{}, fmt.Errorf("toprr: option dimension %d, want %d", len(q.P), snap.Scorer.Dim())
 	}
 	sq := topk.ScorePoint(q.W, q.P)
-	if m := e.sketches.MergedFor(snap.Scorer); m != nil {
+	if m := e.sketches.For(snap.Scorer); m != nil {
 		lo := 1 + m.CountAbove(q.W, sq)
 		hi := lo
 		if m.Folded() > 0 && m.UpperUnmonitored(q.W)+certSlack > sq {

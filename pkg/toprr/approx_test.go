@@ -64,7 +64,7 @@ func TestApproxRankOracle(t *testing.T) {
 	} {
 		mk := mk
 		t.Run(mk.name, func(t *testing.T) {
-			engine := toprr.NewEngine(mk.pts, toprr.WithShards(2))
+			engine := toprr.NewEngine(mk.pts)
 			calls := 0
 			for trial := 0; trial < 40; trial++ {
 				w := randPref(rng, d-1)
@@ -131,7 +131,7 @@ func TestApproxRankAcrossMutations(t *testing.T) {
 func TestApproxImpactOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const d = 4
-	engine := toprr.NewEngine(dominatedMarket(rng, 800, d), toprr.WithShards(2))
+	engine := toprr.NewEngine(dominatedMarket(rng, 800, d))
 	certified := 0
 	for trial := 0; trial < 60; trial++ {
 		q := toprr.ImpactQuery{
@@ -212,7 +212,7 @@ func TestApproxRankZeroAlloc(t *testing.T) {
 // TestApproxRankCertifiedBeatsExact: on a dominated-heavy market (n =
 // 20000, d = 4, 32 elite options) every one of 32 pinned preferences is
 // certified at k = 10, and the warm certified ApproxRank is faster than
-// uncached exact top-k over the same preferences, at S = 1, 2 and 8.
+// uncached exact top-k over the same preferences.
 // Both timings come from this process on this machine, so the
 // comparison does not depend on the hardware.
 func TestApproxRankCertifiedBeatsExact(t *testing.T) {
@@ -233,35 +233,33 @@ func TestApproxRankCertifiedBeatsExact(t *testing.T) {
 			ws[i][j] = rng.Float64() / d
 		}
 	}
-	for _, shards := range []int{1, 2, 8} {
-		engine := toprr.NewEngine(pts, toprr.WithShards(shards))
-		for i, w := range ws {
-			est, err := engine.ApproxRank(w, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !est.Certified {
-				t.Errorf("S=%d: preference %d not certified", shards, i)
-			}
+	engine := toprr.NewEngine(pts)
+	defer engine.Close()
+	for i, w := range ws {
+		est, err := engine.ApproxRank(w, k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		start := time.Now()
-		for i := 0; i < approxCalls; i++ {
-			if _, err := engine.ApproxRank(ws[i%len(ws)], k); err != nil {
-				t.Fatal(err)
-			}
+		if !est.Certified {
+			t.Errorf("preference %d not certified", i)
 		}
-		approx := time.Since(start) / approxCalls
-		sc := engine.Snapshot().Scorer
-		start = time.Now()
-		for i := 0; i < exactCalls; i++ {
-			sc.TopK(ws[i%len(ws)], k, nil)
+	}
+	start := time.Now()
+	for i := 0; i < approxCalls; i++ {
+		if _, err := engine.ApproxRank(ws[i%len(ws)], k); err != nil {
+			t.Fatal(err)
 		}
-		exact := time.Since(start) / exactCalls
-		t.Logf("S=%d: approx %v, exact %v per call", shards, approx, exact)
-		if approx >= exact {
-			t.Errorf("S=%d: certified ApproxRank %v per call, not below exact top-k %v", shards, approx, exact)
-		}
-		engine.Close()
+	}
+	approx := time.Since(start) / approxCalls
+	sc := engine.Snapshot().Scorer
+	start = time.Now()
+	for i := 0; i < exactCalls; i++ {
+		sc.TopK(ws[i%len(ws)], k, nil)
+	}
+	exact := time.Since(start) / exactCalls
+	t.Logf("approx %v, exact %v per call", approx, exact)
+	if approx >= exact {
+		t.Errorf("certified ApproxRank %v per call, not below exact top-k %v", approx, exact)
 	}
 }
 

@@ -40,20 +40,14 @@
 // WithCacheLimits bounds the cache; CacheStats reports occupancy and
 // evictions.
 //
-// # The sharded solve plane
+// # Parallelism
 //
-// An engine's solve plane is sharded (WithShards; default derived from
-// GOMAXPROCS): the option set splits into stable content-hashed
-// shards, each with its own top-k memo, and solves fan out with one
-// worker per shard (capped at GOMAXPROCS) over the channel scheduler,
-// assembling through the per-shard constraint-intersection merge stage. Sharded and unsharded solves
-// produce identical regions; sharding buys parallelism without
-// cache-lock contention, per-shard incremental invalidation under
-// mutations (an insert invalidates one shard, not the whole
-// whole-dataset configuration), split cache budgets, and the per-shard
-// breakdowns in CacheStats.ShardStats and Stats.ShardStats. A durable
-// engine persists the shard count; a reopened dataset keeps its
-// layout.
+// A solve runs on one worker unless Options.Workers asks for more; the
+// partition stage then processes regions on a channel-scheduled worker
+// pool. The region is the same either way, but the traversal order and
+// the Seed-dependent split choices may differ, so the constraint list
+// can too. SolveBatch answers its queries concurrently
+// (WithBatchWorkers).
 //
 // # Durability
 //

@@ -36,12 +36,11 @@ type Engine struct {
 	store        *store.Store
 	defaults     Options
 	batchWorkers int
-	shards       int                 // shard count of the solve plane (>= 1 after OpenEngine)
 	persist      store.PersistConfig // zero Dir = in-memory engine
 	caches       *topk.Registry
 
-	// Sketch tier (approx.go): per-shard filtered-space-saving sketches
-	// maintained on the mutation stream; gates the exact prefilter and
+	// Sketch tier (approx.go): a filtered-space-saving sketch of the
+	// dataset maintained on the mutation stream; gates the exact prefilter and
 	// serves the approximate fast path. The counters feed CacheStats.
 	sketches        *sketch.Plane
 	sketchCertified atomic.Int64 // ApproxRank/ApproxImpact answered by sketch bounds alone
@@ -99,38 +98,6 @@ func WithBatchWorkers(n int) EngineOption {
 	return func(e *Engine) { e.batchWorkers = n }
 }
 
-// WithShards partitions the engine's solve plane into n shards: the
-// option set splits into n stable subsets (hashed by option contents,
-// so assignments survive swap-delete relocation), each with its own
-// top-k memo, and solves fan their work out over the shards —
-// per-vertex evaluations merge exact per-shard partial results, queries
-// default to n parallel workers on the channel scheduler, and the
-// assemble stage intersects per-shard constraint chunks. Sharded and unsharded solves produce identical regions;
-// sharding buys parallelism without cache-lock contention, per-shard
-// incremental invalidation under mutations, and per-shard cache
-// budgets.
-//
-// n = 0 (the default) derives the count from GOMAXPROCS (capped at 8);
-// n = 1 disables sharding. A durable engine persists the count in its
-// snapshot metadata, and a reopened dataset keeps its recorded layout —
-// WithShards then only seeds fresh (or pre-shard) directories.
-func WithShards(n int) EngineOption {
-	return func(e *Engine) { e.shards = n }
-}
-
-// defaultShards derives the GOMAXPROCS-based shard count used when
-// WithShards is absent or zero.
-func defaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > 8 {
-		n = 8
-	}
-	return n
-}
-
 // WithCacheLimits bounds the engine's shared top-k caches: maxConfigs
 // caps the interned (k, candidate-set) configurations and
 // maxEntriesPerConfig caps the memoized vertices of each. Zero keeps the
@@ -175,43 +142,31 @@ func OpenEngine(pts []vec.Vector, opts ...EngineOption) (*Engine, error) {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.shards < 0 || e.shards > topk.MaxShards {
-		return nil, fmt.Errorf("toprr: shard count %d out of range [0, %d]", e.shards, topk.MaxShards)
-	}
 	if e.watchCap < 0 {
 		return nil, fmt.Errorf("toprr: watch cap %d, want >= 0", e.watchCap)
 	}
 	if e.watchCap == 0 {
 		e.watchCap = DefaultWatchCap
 	}
-	if e.shards == 0 {
-		e.shards = defaultShards()
-	}
 	var (
 		st  *store.Store
 		err error
 	)
 	if e.persist.Dir != "" {
-		e.persist.Shards = e.shards
 		st, err = store.Open(e.persist, pts)
 	} else {
-		st, err = store.NewSharded(pts, e.shards)
+		st, err = store.New(pts)
 	}
 	if err != nil {
 		return nil, err
 	}
 	e.store = st
-	// A reopened dataset keeps the shard layout its snapshot records;
-	// the engine's configuration only seeds fresh directories.
-	if n := st.Shards(); n > 0 {
-		e.shards = n
-	}
 	snap := st.Snapshot()
-	e.caches = topk.NewShardedRegistry(snap.Scorer, e.shards)
+	e.caches = topk.NewRegistry(snap.Scorer)
 	// The sketch tier is rebuilt from the snapshot on every open — an
-	// evicted and reopened tenant re-derives its per-shard sketches here
-	// rather than persisting them.
-	e.sketches = sketch.NewPlane(snap.Scorer, e.shards, 0)
+	// evicted and reopened tenant re-derives its sketch here rather than
+	// persisting it.
+	e.sketches = sketch.NewPlane(snap.Scorer, 1, 0)
 	e.caches.SetLimits(e.maxConfigs, e.maxEntries)
 	e.advanceCond = sync.NewCond(&e.advanceMu)
 	e.advanced = snap.Gen
@@ -219,8 +174,9 @@ func OpenEngine(pts []vec.Vector, opts ...EngineOption) (*Engine, error) {
 	return e, nil
 }
 
-// Shards reports the engine's shard count (1 = unsharded).
-func (e *Engine) Shards() int { return e.shards }
+// Shards returns 1: an engine's solve plane is one shard. It is kept
+// only because the toprrbench module compiles against it.
+func (e *Engine) Shards() int { return 1 }
 
 // SetCacheLimits adjusts the cache limits of a live engine, with the
 // same semantics as WithCacheLimits (zero keeps the current value for
@@ -299,10 +255,8 @@ func (e *Engine) Log(since uint64) []AppliedOp { return e.store.Log(since) }
 // delta: a pure-insert batch takes the patch path — memoized top-k
 // entries are patched by scoring only the inserted options at each
 // memoized vertex — while a batch that deletes or updates option p
-// drops only the entries involving p and, on a sharded engine, only the
-// per-shard top-k state of the shards owning p — not the warm state of
-// the rest of the dataset. On error the dataset and the returned
-// generation are unchanged.
+// drops only the entries involving p. On error the dataset and the
+// returned generation are unchanged.
 //
 // Concurrent Apply calls overlap: on a durable engine their WAL fsyncs
 // group-commit behind one shared flush instead of serializing on the
@@ -334,7 +288,7 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (Generation, error) {
 			e.sketches.AdvanceInsert(snap.Scorer, delta.Inserted)
 		} else {
 			e.caches.Advance(snap.Scorer, delta.Dirty)
-			e.sketches.Advance(snap.Scorer, delta.ShardsTouched)
+			e.sketches.Advance(snap.Scorer)
 		}
 		// Inside the gate, so the hub sees signals in publication order;
 		// observe only flips flags (never solves), keeping the write path
@@ -374,32 +328,15 @@ func (e *Engine) problem(snap Snapshot, q Query) (Problem, error) {
 
 // options resolves a query's options and injects the engine's shared
 // top-k cache (which itself verifies the solve's pinned generation on
-// every access) and the sharded solve plane: solves on a sharded engine
-// run with the engine's shard count, fan out over the channel scheduler
-// with one worker per shard unless the query pins its own worker count,
-// and assemble through the per-shard constraint-intersection merge
-// stage.
+// every access) and its sketch gate.
 func (e *Engine) options(q Query) Options {
 	opt := e.defaults
 	if q.Options != nil {
 		opt = *q.Options
 	}
 	opt.TopKCaches = e.caches
-	opt.Shards = e.shards
 	if !opt.DisableSketchGate {
 		opt.SketchGate = e.sketches.Gate
-	}
-	if e.shards > 1 {
-		if opt.Workers == 0 {
-			// One worker per shard, capped at the CPUs actually
-			// available: extra workers on an oversubscribed box only buy
-			// scheduling overhead, while extra shards still buy finer
-			// invalidation and budget slicing.
-			opt.Workers = e.shards
-			if procs := runtime.GOMAXPROCS(0); opt.Workers > procs {
-				opt.Workers = procs
-			}
-		}
 	}
 	return opt
 }
@@ -557,8 +494,8 @@ type CacheStats struct {
 	LiveGenerations       int
 	RetainedSnapshotBytes int64
 
-	// Sketch-tier counters. Occupancy (entries monitored across shards
-	// and members folded into threshold bounds) is a snapshot; the rest
+	// Sketch-tier counters. Occupancy (entries monitored and members
+	// folded into threshold bounds) is a snapshot; the rest
 	// are cumulative: prefilter gate certifications and declines, options
 	// the certificates excused from exact dominance tests, approximate
 	// queries answered by sketch bounds alone, and those that fell back
@@ -570,14 +507,7 @@ type CacheStats struct {
 	SketchCertifiedSkips int
 	SketchCertified      int
 	SketchFallbacks      int
-	Shards               int // the engine's shard count (1 = unsharded)
-	// ShardStats breaks the shared top-k cache down per shard — memoized
-	// partials and hit/miss totals — on sharded engines (nil otherwise).
-	ShardStats []ShardCacheStats
 }
-
-// ShardCacheStats is one shard's slice of an engine's shared caches.
-type ShardCacheStats = topk.ShardCacheStats
 
 // CacheStats snapshots the engine's shared-cache occupancy and snapshot
 // GC counters.
@@ -596,8 +526,6 @@ func (e *Engine) CacheStats() CacheStats {
 		Evictions:             e.caches.Evictions(),
 		LiveGenerations:       live,
 		RetainedSnapshotBytes: retained,
-		Shards:                e.shards,
-		ShardStats:            e.caches.ShardStats(),
 	}
 	sk := e.sketches.Stats()
 	cs.SketchEntries = sk.Entries

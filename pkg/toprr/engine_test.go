@@ -217,3 +217,23 @@ func TestEngineQueryOptionsOverride(t *testing.T) {
 		t.Skip("instance trivially solvable within one region; override not observable")
 	}
 }
+
+// oracleOptions pins the solve deterministic (one worker, fixed seed)
+// so a warm engine and a cold one run bit-identical recursions.
+func oracleOptions() *toprr.Options {
+	return &toprr.Options{Alg: toprr.TASStar, Workers: 1, Seed: 17}
+}
+
+// sameRegion cross-checks two results by membership sampling.
+func sameRegion(t *testing.T, tag string, rng *rand.Rand, d int, a, b *toprr.Result) {
+	t.Helper()
+	for probe := 0; probe < 300; probe++ {
+		o := vec.New(d)
+		for j := range o {
+			o[j] = rng.Float64()
+		}
+		if a.IsTopRanking(o) != b.IsTopRanking(o) {
+			t.Fatalf("%s: regions differ at %v", tag, o)
+		}
+	}
+}

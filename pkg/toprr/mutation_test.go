@@ -157,9 +157,19 @@ func TestEngineIncrementalInvalidation(t *testing.T) {
 
 // TestEngineConcurrentSolveApply: readers pin their generation — solves
 // racing a stream of mutations answer exactly for the snapshot they
-// started from. Run under -race in CI.
+// started from. Two seeded streams run. Run under -race in CI.
 func TestEngineConcurrentSolveApply(t *testing.T) {
-	seedRng := rand.New(rand.NewSource(13))
+	concurrentSolveApply(t, 13, 99, 100, 25, 50)
+	concurrentSolveApply(t, 26, 77, 300, 30, 40)
+}
+
+// concurrentSolveApply races one writer applying ops single-op batches
+// (seeded writerSeed) against three readers (seeded readerSeed+r) over a
+// 100-option market drawn from dataSeed. Each reader verifies up to
+// probes candidate options of its answer against the pinned scorer.
+func concurrentSolveApply(t *testing.T, dataSeed, writerSeed, readerSeed int64, ops, probes int) {
+	t.Helper()
+	seedRng := rand.New(rand.NewSource(dataSeed))
 	ctx := context.Background()
 	pts := randomMarket(seedRng, 100, 3)
 	engine := toprr.NewEngine(pts)
@@ -172,8 +182,8 @@ func TestEngineConcurrentSolveApply(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(stop)
-		wrng := rand.New(rand.NewSource(99))
-		for i := 0; i < 25; i++ {
+		wrng := rand.New(rand.NewSource(writerSeed))
+		for i := 0; i < ops; i++ {
 			var op toprr.Op
 			n := engine.Len()
 			switch wrng.Intn(3) {
@@ -222,7 +232,7 @@ func TestEngineConcurrentSolveApply(t *testing.T) {
 					return
 				}
 				prob := toprr.Problem{Scorer: snap.Scorer, K: q.K, WR: q.WR}
-				for probe := 0; probe < 50; probe++ {
+				for probe := 0; probe < probes; probe++ {
 					o := randomPoint(rr, 3)
 					if !res.IsTopRanking(o) {
 						continue
@@ -233,7 +243,7 @@ func TestEngineConcurrentSolveApply(t *testing.T) {
 					break
 				}
 			}
-		}(int64(100 + r))
+		}(readerSeed + int64(r))
 	}
 	wg.Wait()
 }

@@ -28,113 +28,109 @@ func rankWeight(rng *rand.Rand, d int) vec.Vector {
 // dominated insert that cracks no memoized top-k must count as an
 // untouched advance and drop zero cache entries.
 func TestEnginePatchOnInsert(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			ctx := context.Background()
-			d := 3
-			n := 150
-			engine := toprr.NewEngine(randomMarket(rng, n, d), toprr.WithShards(shards))
+	rng := rand.New(rand.NewSource(31))
+	ctx := context.Background()
+	d := 3
+	n := 150
+	engine := toprr.NewEngine(randomMarket(rng, n, d))
 
-			for i := 0; i < 4; i++ {
-				if _, err := engine.Solve(ctx, wideQuery(rng, d, 2+i%3)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Whole-dataset rankings populate the nil-active memos the
-			// patch plane repairs.
-			weights := make([]vec.Vector, 8)
-			for i := range weights {
-				weights[i] = rankWeight(rng, d)
-				if _, err := engine.Rank(weights[i], 3+i%3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			before := engine.CacheStats()
-			if before.TopKConfigs == 0 {
-				t.Fatalf("warmup interned nothing: %+v", before)
-			}
-			if before.PatchInserts != 0 || before.UntouchedAdvances != 0 {
-				t.Fatalf("patch counters moved before any insert: %+v", before)
-			}
-
-			// A corner-dominant insert cracks warm top-k entries: the
-			// batch must patch, not drop.
-			if _, err := engine.Apply(ctx, []toprr.Op{
-				toprr.Insert(vec.Of(0.999, 0.998, 0.997)),
-				toprr.Insert(randomPoint(rng, d)),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			after := engine.CacheStats()
-			if after.PatchInserts != before.PatchInserts+2 {
-				t.Errorf("PatchInserts = %d, want %d", after.PatchInserts, before.PatchInserts+2)
-			}
-			if after.PatchedEntries == 0 {
-				t.Error("dominant insert patched no memoized entries")
-			}
-			if after.TopKConfigs != before.TopKConfigs {
-				t.Errorf("patch advance dropped configurations: %d -> %d", before.TopKConfigs, after.TopKConfigs)
-			}
-			if after.Evictions != before.Evictions {
-				t.Errorf("patch advance recorded evictions: %d -> %d", before.Evictions, after.Evictions)
-			}
-			if after.UntouchedAdvances != before.UntouchedAdvances {
-				t.Errorf("dominant insert counted as untouched: %d -> %d", before.UntouchedAdvances, after.UntouchedAdvances)
-			}
-			// The patched rank memos already place the dominant option
-			// first, at every memoized preference.
-			for i, w := range weights {
-				got, err := engine.Rank(w, 3+i%3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[0] != n {
-					t.Errorf("rank at %v = %v, want dominant slot %d first", w, got, n)
-				}
-			}
-
-			// A fully dominated option can crack no top-k: the advance is
-			// untouched — the region-delta signal — and drops nothing.
-			if _, err := engine.Apply(ctx, []toprr.Op{toprr.Insert(vec.New(d))}); err != nil {
-				t.Fatal(err)
-			}
-			dominated := engine.CacheStats()
-			if dominated.UntouchedAdvances != after.UntouchedAdvances+1 {
-				t.Errorf("UntouchedAdvances = %d, want %d", dominated.UntouchedAdvances, after.UntouchedAdvances+1)
-			}
-			if dominated.PatchedEntries != after.PatchedEntries {
-				t.Errorf("dominated insert patched entries: %d -> %d", after.PatchedEntries, dominated.PatchedEntries)
-			}
-			if dominated.TopKConfigs != after.TopKConfigs || dominated.Evictions != after.Evictions {
-				t.Errorf("dominated insert dropped cache state: %+v -> %+v", after, dominated)
-			}
-
-			// A delete reshapes slots and must bypass the patch plane.
-			if _, err := engine.Apply(ctx, []toprr.Op{toprr.Delete(0)}); err != nil {
-				t.Fatal(err)
-			}
-			deleted := engine.CacheStats()
-			if deleted.PatchInserts != dominated.PatchInserts || deleted.UntouchedAdvances != dominated.UntouchedAdvances {
-				t.Errorf("delete moved patch counters: %+v -> %+v", dominated, deleted)
-			}
-
-			// The patched-then-reshaped engine still answers exactly like a
-			// cold engine over the same points.
-			q := randomQuery(rng, d, 3)
-			q.Options = oracleOptions()
-			got, err := engine.Solve(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh := toprr.NewEngine(engine.Scorer().Points(), toprr.WithShards(shards))
-			want, err := fresh.Solve(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRegion(t, "post-patch", rng, d, got, want)
-		})
+	for i := 0; i < 4; i++ {
+		if _, err := engine.Solve(ctx, wideQuery(rng, d, 2+i%3)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// Whole-dataset rankings populate the nil-active memos the
+	// patch plane repairs.
+	weights := make([]vec.Vector, 8)
+	for i := range weights {
+		weights[i] = rankWeight(rng, d)
+		if _, err := engine.Rank(weights[i], 3+i%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := engine.CacheStats()
+	if before.TopKConfigs == 0 {
+		t.Fatalf("warmup interned nothing: %+v", before)
+	}
+	if before.PatchInserts != 0 || before.UntouchedAdvances != 0 {
+		t.Fatalf("patch counters moved before any insert: %+v", before)
+	}
+
+	// A corner-dominant insert cracks warm top-k entries: the
+	// batch must patch, not drop.
+	if _, err := engine.Apply(ctx, []toprr.Op{
+		toprr.Insert(vec.Of(0.999, 0.998, 0.997)),
+		toprr.Insert(randomPoint(rng, d)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	after := engine.CacheStats()
+	if after.PatchInserts != before.PatchInserts+2 {
+		t.Errorf("PatchInserts = %d, want %d", after.PatchInserts, before.PatchInserts+2)
+	}
+	if after.PatchedEntries == 0 {
+		t.Error("dominant insert patched no memoized entries")
+	}
+	if after.TopKConfigs != before.TopKConfigs {
+		t.Errorf("patch advance dropped configurations: %d -> %d", before.TopKConfigs, after.TopKConfigs)
+	}
+	if after.Evictions != before.Evictions {
+		t.Errorf("patch advance recorded evictions: %d -> %d", before.Evictions, after.Evictions)
+	}
+	if after.UntouchedAdvances != before.UntouchedAdvances {
+		t.Errorf("dominant insert counted as untouched: %d -> %d", before.UntouchedAdvances, after.UntouchedAdvances)
+	}
+	// The patched rank memos already place the dominant option
+	// first, at every memoized preference.
+	for i, w := range weights {
+		got, err := engine.Rank(w, 3+i%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != n {
+			t.Errorf("rank at %v = %v, want dominant slot %d first", w, got, n)
+		}
+	}
+
+	// A fully dominated option can crack no top-k: the advance is
+	// untouched — the region-delta signal — and drops nothing.
+	if _, err := engine.Apply(ctx, []toprr.Op{toprr.Insert(vec.New(d))}); err != nil {
+		t.Fatal(err)
+	}
+	dominated := engine.CacheStats()
+	if dominated.UntouchedAdvances != after.UntouchedAdvances+1 {
+		t.Errorf("UntouchedAdvances = %d, want %d", dominated.UntouchedAdvances, after.UntouchedAdvances+1)
+	}
+	if dominated.PatchedEntries != after.PatchedEntries {
+		t.Errorf("dominated insert patched entries: %d -> %d", after.PatchedEntries, dominated.PatchedEntries)
+	}
+	if dominated.TopKConfigs != after.TopKConfigs || dominated.Evictions != after.Evictions {
+		t.Errorf("dominated insert dropped cache state: %+v -> %+v", after, dominated)
+	}
+
+	// A delete reshapes slots and must bypass the patch plane.
+	if _, err := engine.Apply(ctx, []toprr.Op{toprr.Delete(0)}); err != nil {
+		t.Fatal(err)
+	}
+	deleted := engine.CacheStats()
+	if deleted.PatchInserts != dominated.PatchInserts || deleted.UntouchedAdvances != dominated.UntouchedAdvances {
+		t.Errorf("delete moved patch counters: %+v -> %+v", dominated, deleted)
+	}
+
+	// The patched-then-reshaped engine still answers exactly like a
+	// cold engine over the same points.
+	q := randomQuery(rng, d, 3)
+	q.Options = oracleOptions()
+	got, err := engine.Solve(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := toprr.NewEngine(engine.Scorer().Points())
+	want, err := fresh.Solve(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRegion(t, "post-patch", rng, d, got, want)
 }
 
 // TestEngineRank: Rank validates its inputs, memoizes repeated
@@ -212,16 +208,16 @@ func TestEngineRank(t *testing.T) {
 // TestEnginePatchedSolveMatchesFresh: after a stream of pure-insert
 // batches repaired in place, a warm engine's deterministic solves must
 // be bit-identical to a cold engine built from the final point set —
-// same recursion (|Vall|), same constraint count, same region — for
-// every shard count in the oracle ladder.
+// same recursion (|Vall|), same constraint count, same region — over
+// four rounds of fresh engines.
 func TestEnginePatchedSolveMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ctx := context.Background()
 	d := 3
 	pts := randomMarket(rng, 90, d)
 
-	for _, shards := range []int{1, 2, 3, 8} {
-		engine := toprr.NewEngine(pts, toprr.WithShards(shards))
+	for round := 0; round < 4; round++ {
+		engine := toprr.NewEngine(pts)
 		for i := 0; i < 3; i++ {
 			if _, err := engine.Solve(ctx, wideQuery(rng, d, 2+i)); err != nil {
 				t.Fatal(err)
@@ -236,30 +232,30 @@ func TestEnginePatchedSolveMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			fresh := toprr.NewEngine(engine.Scorer().Points(), toprr.WithShards(shards))
+			fresh := toprr.NewEngine(engine.Scorer().Points())
 			for q := 0; q < 2; q++ {
 				query := randomQuery(rng, d, 1+rng.Intn(5))
 				query.Options = oracleOptions()
 				got, err := engine.Solve(ctx, query)
 				if err != nil {
-					t.Fatalf("shards=%d batch=%d: %v", shards, batch, err)
+					t.Fatalf("round %d batch %d: %v", round, batch, err)
 				}
 				want, err := fresh.Solve(ctx, query)
 				if err != nil {
-					t.Fatalf("shards=%d batch=%d: fresh: %v", shards, batch, err)
+					t.Fatalf("round %d batch %d: fresh: %v", round, batch, err)
 				}
 				if len(got.Vall) != len(want.Vall) {
-					t.Fatalf("shards=%d batch=%d: |Vall| %d != %d", shards, batch, len(got.Vall), len(want.Vall))
+					t.Fatalf("round %d batch %d: |Vall| %d != %d", round, batch, len(got.Vall), len(want.Vall))
 				}
 				if len(got.ORConstraints) != len(want.ORConstraints) {
-					t.Fatalf("shards=%d batch=%d: constraints %d != %d", shards, batch, len(got.ORConstraints), len(want.ORConstraints))
+					t.Fatalf("round %d batch %d: constraints %d != %d", round, batch, len(got.ORConstraints), len(want.ORConstraints))
 				}
-				sameRegion(t, fmt.Sprintf("shards=%d batch=%d", shards, batch), rng, d, got, want)
+				sameRegion(t, fmt.Sprintf("round %d batch %d", round, batch), rng, d, got, want)
 			}
 		}
 		stats := engine.CacheStats()
 		if stats.PatchInserts == 0 {
-			t.Fatalf("shards=%d: insert batches never took the patch path", shards)
+			t.Fatalf("round %d: insert batches never took the patch path", round)
 		}
 	}
 }

@@ -2,8 +2,13 @@ package toprr_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"toprr/internal/vec"
@@ -123,5 +128,146 @@ func TestEngineStatsExposePersistenceAndGC(t *testing.T) {
 	}
 	if cs := mem.CacheStats(); cs.LiveGenerations != 1 {
 		t.Fatalf("in-memory live generations = %d", cs.LiveGenerations)
+	}
+}
+
+// TestEngineConcurrentApplyGroupCommit: concurrent Apply callers on a
+// durable engine must coalesce on the WAL fsync (strictly fewer syncs
+// than batches), publish every generation exactly once in order, and
+// recover the identical dataset after reopen.
+func TestEngineConcurrentApplyGroupCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "gc")
+	pts := randomMarket(rng, 60, 3)
+	eng, err := toprr.OpenEngine(pts, toprr.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const (
+		writers = 8
+		batches = 10
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			wr := rand.New(rand.NewSource(seed))
+			for b := 0; b < batches; b++ {
+				op := toprr.Insert(randomPoint(wr, 3))
+				if _, err := eng.Apply(ctx, []toprr.Op{op}); err != nil {
+					t.Errorf("apply: %v", err)
+					return
+				}
+			}
+		}(int64(100 + w))
+	}
+	wg.Wait()
+
+	if got, want := eng.Generation(), toprr.Generation(1+writers*batches); got != want {
+		t.Fatalf("generation = %d, want %d", got, want)
+	}
+	if got, want := eng.Len(), 60+writers*batches; got != want {
+		t.Fatalf("len = %d, want %d", got, want)
+	}
+	ps := eng.PersistStats()
+	if ps.WALSyncs == 0 {
+		t.Fatal("no fsyncs recorded")
+	}
+	// Sanity rather than timing-dependent coalescing: never more syncs
+	// than batches plus the handful of maintenance flushes.
+	if ps.WALSyncs > int64(writers*batches+8) {
+		t.Errorf("WALSyncs = %d for %d batches; group commit not bounding flushes", ps.WALSyncs, writers*batches)
+	}
+	finalPts := eng.Scorer().Points()
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := toprr.OpenEngine(nil, toprr.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != len(finalPts) {
+		t.Fatalf("recovered %d options, want %d", re.Len(), len(finalPts))
+	}
+	rec := re.Scorer().Points()
+	for i := range finalPts {
+		if !rec[i].Equal(finalPts[i], 0) {
+			t.Fatalf("recovered option %d differs", i)
+		}
+	}
+}
+
+// TestEngineReopensOldLayout: a durable directory whose base snapshot
+// records a shard count (4) in the now reserved header field, plus a
+// WAL tail, reopens into an engine that answers like a fresh engine
+// over the same options.
+func TestEngineReopensOldLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	ctx := context.Background()
+	dir := filepath.Join(t.TempDir(), "ds")
+	eng, err := toprr.OpenEngine(randomMarket(rng, 100, 3), toprr.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []toprr.Op
+	for i := 0; i < 7; i++ {
+		ops = append(ops, toprr.Insert(randomPoint(rng, 3)))
+	}
+	if _, err := eng.Apply(ctx, ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the base snapshot's header as the sharded layout wrote it:
+	// magic, u64 generation, u64 op sequence, u32 n, u32 d, u32 shard
+	// count, the options, and a CRC-32 of everything after the magic.
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v, %v; want one", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const magicLen = 8
+	payload := data[magicLen : len(data)-4]
+	binary.LittleEndian.PutUint32(payload[24:], 4)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := toprr.OpenEngine(nil, toprr.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 107 || re.Generation() != 2 {
+		t.Fatalf("reopened %d options at generation %d, want 107 at 2", re.Len(), re.Generation())
+	}
+	fresh := toprr.NewEngine(re.Scorer().Points())
+	for q := 0; q < 3; q++ {
+		query := randomQuery(rng, 3, 2+rng.Intn(3))
+		query.Options = oracleOptions()
+		want, err := fresh.Solve(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := re.Solve(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Vall) != len(want.Vall) || len(got.ORConstraints) != len(want.ORConstraints) {
+			t.Fatalf("reopened |Vall| %d, constraints %d; fresh %d, %d",
+				len(got.Vall), len(got.ORConstraints), len(want.Vall), len(want.ORConstraints))
+		}
+		sameRegion(t, "reopen", rng, 3, got, want)
 	}
 }

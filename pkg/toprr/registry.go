@@ -47,7 +47,6 @@ type Registry struct {
 	ttl           time.Duration // idle-eviction TTL (0 = never evict)
 	budgetConfigs int           // process-wide interned top-k configurations (0 = per-engine default)
 	budgetEntries int           // per-configuration memoized-vertex cap (0 = per-engine default)
-	shards        int           // default shard count for new datasets (0 = engine auto)
 	watchCap      int           // per-tenant standing-subscription cap (0 = engine default)
 	persist       store.PersistConfig
 
@@ -109,14 +108,6 @@ func WithIdleTTL(d time.Duration) RegistryOption {
 // dataset's engine is opened with this limit.
 func WithRegistryWatchCap(n int) RegistryOption {
 	return func(r *Registry) { r.watchCap = n }
-}
-
-// WithRegistryShards sets the default shard count new datasets are
-// created with (see WithShards; 0 keeps the per-engine GOMAXPROCS
-// default). Datasets reopened from disk keep the shard layout their
-// snapshots record regardless.
-func WithRegistryShards(n int) RegistryOption {
-	return func(r *Registry) { r.shards = n }
 }
 
 // WithCacheBudget sets the process-wide cache budget: totalConfigs
@@ -195,13 +186,8 @@ func (r *Registry) persistFor(name string) PersistConfig {
 }
 
 // openEngineFor opens one tenant's engine outside the registry lock.
-// shards > 0 overrides the registry default for a newly created
-// dataset; reopened datasets keep their persisted layout either way.
-func (r *Registry) openEngineFor(name string, boot []vec.Vector, shards int) (*Engine, error) {
-	if shards == 0 {
-		shards = r.shards
-	}
-	opts := []EngineOption{WithShards(shards)}
+func (r *Registry) openEngineFor(name string, boot []vec.Vector) (*Engine, error) {
+	var opts []EngineOption
 	if r.watchCap > 0 {
 		opts = append(opts, WithWatchCap(r.watchCap))
 	}
@@ -271,7 +257,7 @@ func (r *Registry) engineLocked(t *tenant) (*Engine, error) {
 	}
 	t.opening = true
 	r.mu.Unlock()
-	eng, err := r.openEngineFor(t.name, nil, 0) // state exists on disk; no bootstrap
+	eng, err := r.openEngineFor(t.name, nil) // state exists on disk; no bootstrap
 	r.mu.Lock()
 	t.opening = false
 	t.ready.Broadcast()
@@ -299,18 +285,8 @@ func (r *Registry) engineLocked(t *tenant) (*Engine, error) {
 // taken (including by an undiscovered directory that appeared behind
 // the registry's back).
 func (r *Registry) Create(name string, pts []vec.Vector) (*Engine, error) {
-	return r.CreateWithShards(name, pts, 0)
-}
-
-// CreateWithShards is Create with an explicit solve-plane shard count
-// for the new dataset (see WithShards; 0 uses the registry default,
-// falling back to the per-engine GOMAXPROCS derivation).
-func (r *Registry) CreateWithShards(name string, pts []vec.Vector, shards int) (*Engine, error) {
 	if err := store.ValidateDatasetName(name); err != nil {
 		return nil, err
-	}
-	if shards < 0 || shards > MaxShards {
-		return nil, fmt.Errorf("toprr: shard count %d out of range [0, %d]", shards, MaxShards)
 	}
 	r.mu.Lock()
 	if r.closed {
@@ -340,7 +316,7 @@ func (r *Registry) CreateWithShards(name string, pts []vec.Vector, shards int) (
 		}
 	}
 	if err == nil {
-		eng, err = r.openEngineFor(name, pts, shards)
+		eng, err = r.openEngineFor(name, pts)
 	}
 
 	r.mu.Lock()

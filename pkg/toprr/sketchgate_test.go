@@ -78,20 +78,21 @@ func requireIdentical(t *testing.T, tag string, got, want *toprr.Result) {
 }
 
 // TestSketchGateBitIdentity: a gated solve must be bit-identical to an
-// ungated one — same constraints, fingerprint and Vall — across shard
-// counts, with mutations interleaved between rounds. This is the
+// ungated one — same constraints, fingerprint and Vall — on four seeded
+// markets (the seeds the rows over shard counts 1, 2, 3 and 8 used),
+// with mutations interleaved between rounds. This is the
 // acceptance property of the sketch gate: it may only skip work whose
 // outcome its certificate pins.
 func TestSketchGateBitIdentity(t *testing.T) {
 	ctx := context.Background()
-	for _, shards := range []int{1, 2, 3, 8} {
-		shards := shards
+	for _, seed := range []int64{101, 102, 103, 108} {
+		seed := seed
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(100 + shards)))
+			rng := rand.New(rand.NewSource(seed))
 			d := 4
 			pts := dominatedMarket(rng, 600, d)
-			engine := toprr.NewEngine(pts, toprr.WithShards(shards))
+			engine := toprr.NewEngine(pts)
 
 			ungated := toprr.Options{Alg: toprr.TASStar, DisableSketchGate: true}
 			for round := 0; round < 4; round++ {
@@ -149,7 +150,7 @@ func TestSketchGateStatsSurface(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	pts := dominatedMarket(rng, 600, 4)
-	engine := toprr.NewEngine(pts, toprr.WithShards(1))
+	engine := toprr.NewEngine(pts)
 
 	res, err := engine.Solve(ctx, randomQuery(rng, 4, 3))
 	if err != nil {

@@ -45,19 +45,6 @@ const (
 	TASStar = core.TASStar
 )
 
-// MaxShards bounds the shard count of a sharded solve plane
-// (WithShards, Registry.CreateWithShards).
-const MaxShards = topk.MaxShards
-
-// ShardStat is one shard's share of a solve's work (Stats.ShardStats).
-type ShardStat = core.ShardStat
-
-// ParallelClipAssembler is the sharded merge stage: per-shard
-// constraint chunks clipped concurrently, then intersected into the
-// final region. Every solve with Options.Shards > 1 assembles through
-// it.
-type ParallelClipAssembler = core.ParallelClipAssembler
-
 // Versioned-store vocabulary, re-exported so callers never import
 // internal/store. An Engine's dataset is a sequence of generations;
 // Apply publishes a new one, Snapshot pins one for reading.
@@ -135,8 +122,16 @@ func Delete(i int) Op { return store.Delete(i) }
 func Update(i int, p vec.Vector) Op { return store.Update(i, p) }
 
 // ClipAssembler is the sequential incremental-clipping assembler, the
-// fold every unsharded solve runs.
+// fold every solve runs.
 type ClipAssembler = core.ClipAssembler
+
+// ParallelClipAssembler is ClipAssembler under an older name; Shards is
+// ignored. It is kept only because the toprrbench module compiles
+// against it.
+type ParallelClipAssembler struct {
+	ClipAssembler
+	Shards int
+}
 
 // NewProblem assembles a TopRR instance over the given options.
 func NewProblem(pts []vec.Vector, k int, wr *geom.Polytope) Problem {
