@@ -417,69 +417,73 @@ func TestPatchInsertEconomy(t *testing.T) {
 	}
 	insSeed := rand.New(rand.NewSource(72)).Int63()
 
-	sc0 := NewScorerAt(base, 1)
-	regPatch := NewRegistry(sc0)
-	regCold := NewRegistry(sc0)
-	for _, reg := range []*Registry{regPatch, regCold} {
-		c := reg.Get(k, nil)
-		for _, w := range ws {
-			c.Get(w)
+	// One row, named for the one-shard registry it ran on when the
+	// registry could be sharded.
+	t.Run("S1", func(t *testing.T) {
+		sc0 := NewScorerAt(base, 1)
+		regPatch := NewRegistry(sc0)
+		regCold := NewRegistry(sc0)
+		for _, reg := range []*Registry{regPatch, regCold} {
+			c := reg.Get(k, nil)
+			for _, w := range ws {
+				c.Get(w)
+			}
 		}
-	}
 
-	// Each examined entry scores the one inserted option, so the patch
-	// side's advance work is PatchSummary.Entries per insert.
-	pts := base
-	patchScored := 0
-	rng := rand.New(rand.NewSource(insSeed))
-	for b := 0; b < inserts; b++ {
-		p := vec.New(d)
-		for j := range p {
-			p[j] = rng.Float64()
+		// Each examined entry scores the one inserted option, so the patch
+		// side's advance work is PatchSummary.Entries per insert.
+		pts := base
+		patchScored := 0
+		rng := rand.New(rand.NewSource(insSeed))
+		for b := 0; b < inserts; b++ {
+			p := vec.New(d)
+			for j := range p {
+				p[j] = rng.Float64()
+			}
+			pts = append(pts[:len(pts):len(pts)], p)
+			scn := NewScorerAt(pts, uint64(2+b))
+			slot := []int{len(pts) - 1}
+			sum := regPatch.AdvanceInsert(scn, slot)
+			if sum.Fallback {
+				t.Fatal("patch advance fell back to drop")
+			}
+			patchScored += sum.Entries * len(slot)
+			regCold.Advance(scn, slot)
 		}
-		pts = append(pts[:len(pts):len(pts)], p)
-		scn := NewScorerAt(pts, uint64(2+b))
-		slot := []int{len(pts) - 1}
-		sum := regPatch.AdvanceInsert(scn, slot)
-		if sum.Fallback {
-			t.Fatal("patch advance fell back to drop")
+		rewarm, patchKeys := economyScored(regPatch, ws, k, len(pts))
+		patchScored += rewarm
+		coldScored, coldKeys := economyScored(regCold, ws, k, len(pts))
+		for i := range patchKeys {
+			if patchKeys[i] != coldKeys[i] {
+				t.Fatalf("vertex %d: patched and recomputed rankings diverge", i)
+			}
 		}
-		patchScored += sum.Entries * len(slot)
-		regCold.Advance(scn, slot)
-	}
-	rewarm, patchKeys := economyScored(regPatch, ws, k, len(pts))
-	patchScored += rewarm
-	coldScored, coldKeys := economyScored(regCold, ws, k, len(pts))
-	for i := range patchKeys {
-		if patchKeys[i] != coldKeys[i] {
-			t.Fatalf("vertex %d: patched and recomputed rankings diverge", i)
+		t.Logf("options scored to re-warm: patch %d, cold %d", patchScored, coldScored)
+		if patchScored == 0 {
+			t.Fatal("no memo entries exercised")
 		}
-	}
-	t.Logf("options scored to re-warm: patch %d, cold %d", patchScored, coldScored)
-	if patchScored == 0 {
-		t.Fatal("no memo entries exercised")
-	}
-	if patchScored > maxScored {
-		t.Errorf("patch side scored %d options, limit %d", patchScored, maxScored)
-	}
-	if ratio := float64(coldScored) / float64(patchScored); ratio < ratioFloor {
-		t.Errorf("scored ratio %.1f (cold %d / patch %d) below the %dx floor", ratio, coldScored, patchScored, ratioFloor)
-	}
+		if patchScored > maxScored {
+			t.Errorf("patch side scored %d options, limit %d", patchScored, maxScored)
+		}
+		if ratio := float64(coldScored) / float64(patchScored); ratio < ratioFloor {
+			t.Errorf("scored ratio %.1f (cold %d / patch %d) below the %dx floor", ratio, coldScored, patchScored, ratioFloor)
+		}
 
-	evBefore := regPatch.Evictions()
-	pts = append(pts[:len(pts):len(pts)], vec.New(d))
-	sum := regPatch.AdvanceInsert(NewScorerAt(pts, 2+inserts), []int{len(pts) - 1})
-	if sum.Entries == 0 {
-		t.Error("untouched insert examined no entries")
-	}
-	if sum.Changed() {
-		t.Error("untouched insert patched an entry")
-	}
-	drops := regPatch.Evictions() - evBefore
-	if again, _ := economyScored(regPatch, ws, k, len(pts)); again != 0 {
-		drops += again
-	}
-	if drops != 0 {
-		t.Errorf("untouched insert dropped %d entries", drops)
-	}
+		evBefore := regPatch.Evictions()
+		pts = append(pts[:len(pts):len(pts)], vec.New(d))
+		sum := regPatch.AdvanceInsert(NewScorerAt(pts, 2+inserts), []int{len(pts) - 1})
+		if sum.Entries == 0 {
+			t.Error("untouched insert examined no entries")
+		}
+		if sum.Changed() {
+			t.Error("untouched insert patched an entry")
+		}
+		drops := regPatch.Evictions() - evBefore
+		if again, _ := economyScored(regPatch, ws, k, len(pts)); again != 0 {
+			drops += again
+		}
+		if drops != 0 {
+			t.Errorf("untouched insert dropped %d entries", drops)
+		}
+	})
 }

@@ -157,9 +157,16 @@ func TestEngineIncrementalInvalidation(t *testing.T) {
 
 // TestEngineConcurrentSolveApply: readers pin their generation — solves
 // racing a stream of mutations answer exactly for the snapshot they
-// started from. Two seeded streams run. Run under -race in CI.
+// started from. Run under -race in CI.
 func TestEngineConcurrentSolveApply(t *testing.T) {
 	concurrentSolveApply(t, 13, 99, 100, 25, 50)
+}
+
+// TestShardedConcurrentSolveApply: the same race on a second seeded
+// stream, longer and with a larger writer share. The name predates the
+// unsharded engine; the stream is kept for its seeds. Run under -race
+// in CI.
+func TestShardedConcurrentSolveApply(t *testing.T) {
 	concurrentSolveApply(t, 26, 77, 300, 30, 40)
 }
 

@@ -28,109 +28,113 @@ func rankWeight(rng *rand.Rand, d int) vec.Vector {
 // dominated insert that cracks no memoized top-k must count as an
 // untouched advance and drop zero cache entries.
 func TestEnginePatchOnInsert(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	ctx := context.Background()
-	d := 3
-	n := 150
-	engine := toprr.NewEngine(randomMarket(rng, n, d))
+	// One row, named for the one-shard engine it ran on when engines
+	// could be sharded.
+	t.Run("shards=1", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		ctx := context.Background()
+		d := 3
+		n := 150
+		engine := toprr.NewEngine(randomMarket(rng, n, d))
 
-	for i := 0; i < 4; i++ {
-		if _, err := engine.Solve(ctx, wideQuery(rng, d, 2+i%3)); err != nil {
+		for i := 0; i < 4; i++ {
+			if _, err := engine.Solve(ctx, wideQuery(rng, d, 2+i%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Whole-dataset rankings populate the nil-active memos the
+		// patch plane repairs.
+		weights := make([]vec.Vector, 8)
+		for i := range weights {
+			weights[i] = rankWeight(rng, d)
+			if _, err := engine.Rank(weights[i], 3+i%3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := engine.CacheStats()
+		if before.TopKConfigs == 0 {
+			t.Fatalf("warmup interned nothing: %+v", before)
+		}
+		if before.PatchInserts != 0 || before.UntouchedAdvances != 0 {
+			t.Fatalf("patch counters moved before any insert: %+v", before)
+		}
+
+		// A corner-dominant insert cracks warm top-k entries: the
+		// batch must patch, not drop.
+		if _, err := engine.Apply(ctx, []toprr.Op{
+			toprr.Insert(vec.Of(0.999, 0.998, 0.997)),
+			toprr.Insert(randomPoint(rng, d)),
+		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Whole-dataset rankings populate the nil-active memos the
-	// patch plane repairs.
-	weights := make([]vec.Vector, 8)
-	for i := range weights {
-		weights[i] = rankWeight(rng, d)
-		if _, err := engine.Rank(weights[i], 3+i%3); err != nil {
+		after := engine.CacheStats()
+		if after.PatchInserts != before.PatchInserts+2 {
+			t.Errorf("PatchInserts = %d, want %d", after.PatchInserts, before.PatchInserts+2)
+		}
+		if after.PatchedEntries == 0 {
+			t.Error("dominant insert patched no memoized entries")
+		}
+		if after.TopKConfigs != before.TopKConfigs {
+			t.Errorf("patch advance dropped configurations: %d -> %d", before.TopKConfigs, after.TopKConfigs)
+		}
+		if after.Evictions != before.Evictions {
+			t.Errorf("patch advance recorded evictions: %d -> %d", before.Evictions, after.Evictions)
+		}
+		if after.UntouchedAdvances != before.UntouchedAdvances {
+			t.Errorf("dominant insert counted as untouched: %d -> %d", before.UntouchedAdvances, after.UntouchedAdvances)
+		}
+		// The patched rank memos already place the dominant option
+		// first, at every memoized preference.
+		for i, w := range weights {
+			got, err := engine.Rank(w, 3+i%3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != n {
+				t.Errorf("rank at %v = %v, want dominant slot %d first", w, got, n)
+			}
+		}
+
+		// A fully dominated option can crack no top-k: the advance is
+		// untouched — the region-delta signal — and drops nothing.
+		if _, err := engine.Apply(ctx, []toprr.Op{toprr.Insert(vec.New(d))}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	before := engine.CacheStats()
-	if before.TopKConfigs == 0 {
-		t.Fatalf("warmup interned nothing: %+v", before)
-	}
-	if before.PatchInserts != 0 || before.UntouchedAdvances != 0 {
-		t.Fatalf("patch counters moved before any insert: %+v", before)
-	}
+		dominated := engine.CacheStats()
+		if dominated.UntouchedAdvances != after.UntouchedAdvances+1 {
+			t.Errorf("UntouchedAdvances = %d, want %d", dominated.UntouchedAdvances, after.UntouchedAdvances+1)
+		}
+		if dominated.PatchedEntries != after.PatchedEntries {
+			t.Errorf("dominated insert patched entries: %d -> %d", after.PatchedEntries, dominated.PatchedEntries)
+		}
+		if dominated.TopKConfigs != after.TopKConfigs || dominated.Evictions != after.Evictions {
+			t.Errorf("dominated insert dropped cache state: %+v -> %+v", after, dominated)
+		}
 
-	// A corner-dominant insert cracks warm top-k entries: the
-	// batch must patch, not drop.
-	if _, err := engine.Apply(ctx, []toprr.Op{
-		toprr.Insert(vec.Of(0.999, 0.998, 0.997)),
-		toprr.Insert(randomPoint(rng, d)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	after := engine.CacheStats()
-	if after.PatchInserts != before.PatchInserts+2 {
-		t.Errorf("PatchInserts = %d, want %d", after.PatchInserts, before.PatchInserts+2)
-	}
-	if after.PatchedEntries == 0 {
-		t.Error("dominant insert patched no memoized entries")
-	}
-	if after.TopKConfigs != before.TopKConfigs {
-		t.Errorf("patch advance dropped configurations: %d -> %d", before.TopKConfigs, after.TopKConfigs)
-	}
-	if after.Evictions != before.Evictions {
-		t.Errorf("patch advance recorded evictions: %d -> %d", before.Evictions, after.Evictions)
-	}
-	if after.UntouchedAdvances != before.UntouchedAdvances {
-		t.Errorf("dominant insert counted as untouched: %d -> %d", before.UntouchedAdvances, after.UntouchedAdvances)
-	}
-	// The patched rank memos already place the dominant option
-	// first, at every memoized preference.
-	for i, w := range weights {
-		got, err := engine.Rank(w, 3+i%3)
+		// A delete reshapes slots and must bypass the patch plane.
+		if _, err := engine.Apply(ctx, []toprr.Op{toprr.Delete(0)}); err != nil {
+			t.Fatal(err)
+		}
+		deleted := engine.CacheStats()
+		if deleted.PatchInserts != dominated.PatchInserts || deleted.UntouchedAdvances != dominated.UntouchedAdvances {
+			t.Errorf("delete moved patch counters: %+v -> %+v", dominated, deleted)
+		}
+
+		// The patched-then-reshaped engine still answers exactly like a
+		// cold engine over the same points.
+		q := randomQuery(rng, d, 3)
+		q.Options = oracleOptions()
+		got, err := engine.Solve(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[0] != n {
-			t.Errorf("rank at %v = %v, want dominant slot %d first", w, got, n)
+		fresh := toprr.NewEngine(engine.Scorer().Points())
+		want, err := fresh.Solve(ctx, q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// A fully dominated option can crack no top-k: the advance is
-	// untouched — the region-delta signal — and drops nothing.
-	if _, err := engine.Apply(ctx, []toprr.Op{toprr.Insert(vec.New(d))}); err != nil {
-		t.Fatal(err)
-	}
-	dominated := engine.CacheStats()
-	if dominated.UntouchedAdvances != after.UntouchedAdvances+1 {
-		t.Errorf("UntouchedAdvances = %d, want %d", dominated.UntouchedAdvances, after.UntouchedAdvances+1)
-	}
-	if dominated.PatchedEntries != after.PatchedEntries {
-		t.Errorf("dominated insert patched entries: %d -> %d", after.PatchedEntries, dominated.PatchedEntries)
-	}
-	if dominated.TopKConfigs != after.TopKConfigs || dominated.Evictions != after.Evictions {
-		t.Errorf("dominated insert dropped cache state: %+v -> %+v", after, dominated)
-	}
-
-	// A delete reshapes slots and must bypass the patch plane.
-	if _, err := engine.Apply(ctx, []toprr.Op{toprr.Delete(0)}); err != nil {
-		t.Fatal(err)
-	}
-	deleted := engine.CacheStats()
-	if deleted.PatchInserts != dominated.PatchInserts || deleted.UntouchedAdvances != dominated.UntouchedAdvances {
-		t.Errorf("delete moved patch counters: %+v -> %+v", dominated, deleted)
-	}
-
-	// The patched-then-reshaped engine still answers exactly like a
-	// cold engine over the same points.
-	q := randomQuery(rng, d, 3)
-	q.Options = oracleOptions()
-	got, err := engine.Solve(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := toprr.NewEngine(engine.Scorer().Points())
-	want, err := fresh.Solve(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRegion(t, "post-patch", rng, d, got, want)
+		sameRegion(t, "post-patch", rng, d, got, want)
+	})
 }
 
 // TestEngineRank: Rank validates its inputs, memoizes repeated
